@@ -24,7 +24,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -111,11 +110,6 @@ class JsonReport {
     registry_ = os.str();
   }
 
-  /// Attach a pre-rendered JSON object as the report's "profile" member
-  /// (the engine profiler's blame matrix / critical-path summary, see
-  /// obs/prof.hpp). Omitted from the file when never called.
-  void embed_profile(std::string json) { profile_ = std::move(json); }
-
   [[nodiscard]] double elapsed_seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
@@ -149,7 +143,6 @@ class JsonReport {
           << "\": " << fields_[i].second;
     }
     out << (fields_.empty() ? "},\n" : "\n  },\n");
-    if (!profile_.empty()) out << "  \"profile\": " << profile_ << ",\n";
     out << "  \"registry\": " << (registry_.empty() ? "{}" : registry_) << "\n"
         << "}\n";
     std::cout << "Wrote " << path << "\n";
@@ -170,35 +163,7 @@ class JsonReport {
   std::chrono::steady_clock::time_point start_;
   std::vector<std::pair<std::string, std::string>> fields_;
   std::string registry_;  ///< Pre-rendered registry JSON, "" when not embedded.
-  std::string profile_;   ///< Pre-rendered profile JSON, "" when not embedded.
 };
-
-/// Merge point-in-time samples from several registries — one per engine
-/// shard — into a single dump, so a sharded run's artifact carries every
-/// switch and transport, not just the control shard's. Names exported by
-/// more than one registry (the per-shard sim.* counters) are namespaced
-/// with a "shard<i>." prefix, so every per-shard series stays addressable
-/// by a stable key instead of the registry's opaque "#N" clash suffix.
-inline void embed_registries(
-    JsonReport& report, const std::vector<const obs::MetricsRegistry*>& regs) {
-  std::vector<std::vector<obs::MetricsRegistry::Sample>> collected;
-  collected.reserve(regs.size());
-  std::map<std::string, int> owners;  // registries exporting each name
-  for (const obs::MetricsRegistry* reg : regs) {
-    collected.push_back(reg->collect());
-    for (const auto& s : collected.back()) ++owners[s.name];
-  }
-  obs::MetricsRegistry merged;
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    for (const auto& s : collected[i]) {
-      const std::string name = owners[s.name] > 1
-                                   ? "shard" + std::to_string(i) + "." + s.name
-                                   : s.name;
-      merged.register_reader(name, s.kind, [v = s.value]() { return v; });
-    }
-  }
-  report.embed_registry(merged);
-}
 
 /// Print the verdict, emit the JSON result file, and return the exit code.
 inline int finish(JsonReport& report) {

@@ -7,15 +7,16 @@
 //
 // Usage:
 //   speedlight_fuzz [--seed S] [--runs N] [--time-budget SECONDS]
-//                   [--replay FILE] [--no-oracle] [--digest] [--shards N]
+//                   [--replay FILE] [--no-oracle] [--digest]
 //                   [--inject-bug] [--out DIR] [--smoke]
 //
 //   --seed S          Base seed; run i uses seed S+i (default 1).
 //   --runs N          Maximum scenarios to run (default 50).
 //   --time-budget T   Stop starting new runs after T wall seconds (default
 //                     unlimited; the nightly CI job sets this).
-//   --replay FILE     Run one saved .scenario instead of fuzzing; exit 1
-//                     if it violates any invariant.
+//   --replay FILE     Run one saved .scenario instead of fuzzing and print
+//                     its end-state digest; exit 1 if it violates any
+//                     invariant.
 //   --no-oracle       Skip the idealized twin run (halves the cost).
 //   --digest          Determinism + codec backstop: run every seed twice and
 //                     demand bit-identical end-state digests and (under
@@ -27,19 +28,16 @@
 //                     whole fault schedule. Any divergence or guarded
 //                     data-path allocation fails the whole run. Doubles the
 //                     cost.
-//   --shards N        Run scenarios on an N-shard parallel network. With
-//                     --digest the twin run keeps N while the primary runs
-//                     serial, so every seed becomes a serial-vs-parallel
-//                     equivalence check (the parallel engine's acceptance
-//                     oracle). Tie fingerprints are only compared when both
-//                     runs use the same mode (parallel workers are not
-//                     auditor-instrumented).
 //   --inject-bug      Self-test: disable the conservation checker's
 //                     channel-state term, prove the loop finds the
 //                     resulting violation and shrinks it to <= 4 switches,
 //                     and that the saved reproducer replays to the same
 //                     failure. Exits nonzero if any of that fails.
 //   --out DIR         Directory for failing .scenario files (default ".").
+//
+// Every sweep ends with a `combined digest 0x...` line: an FNV-1a fold of
+// each run's (seed, end-state digest) in seed order. Equal lines from two
+// builds mean every swept scenario ended in the same observable state.
 //
 // Exit status: 0 clean, 1 invariant violations found (or self-test failed).
 #include <cstdlib>
@@ -63,7 +61,6 @@ struct Args {
   bool with_oracle = true;
   bool digest = false;
   bool inject_bug = false;
-  std::size_t shards = 1;
 };
 
 Args parse(int argc, char** argv) {
@@ -90,9 +87,6 @@ Args parse(int argc, char** argv) {
       a.with_oracle = false;
     } else if (std::strcmp(argv[i], "--digest") == 0) {
       a.digest = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      a.shards = std::strtoull(next("--shards"), nullptr, 10);
-      if (a.shards == 0) a.shards = 1;
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {
       a.inject_bug = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -127,6 +121,7 @@ int replay_one(const Args& args, check::FuzzStats& stats) {
             << " snapshots completed (" << r.skipped << " skipped), "
             << r.conservation_checked << " conservation checks, "
             << r.link_drops << " wire drops, " << r.flaps << " flaps\n";
+  std::cout << "  digest 0x" << std::hex << r.digest << std::dec << "\n";
   if (r.failed()) {
     std::cout << r.violations.size() << " violation(s):\n";
     print_violations(r);
@@ -202,6 +197,7 @@ int main(int argc, char** argv) {
     rc = inject_bug(args, stats);
   } else {
     std::size_t failures = 0;
+    std::uint64_t combined = check::kDigestBasis;
     std::size_t i = 0;
     for (; i < args.runs; ++i) {
       if (args.time_budget_s > 0 &&
@@ -210,17 +206,12 @@ int main(int argc, char** argv) {
         break;
       }
       const check::Scenario s = check::generate_scenario(args.seed + i);
-      // With --digest --shards N the primary run is serial and the twin is
-      // N-shard: every seed checks the parallel engine against the serial
-      // reference. Without --digest, --shards applies to every run.
-      const std::size_t primary_shards =
-          (args.digest && args.shards > 1) ? 1 : args.shards;
       const check::RunResult r = check::run_scenario(
           s, {.with_oracle = args.with_oracle,
               .wire = args.digest ? check::WireMode::DeltaCompact
-                                  : check::WireMode::Legacy,
-              .shards = primary_shards});
+                                  : check::WireMode::Legacy});
       stats.account(r);
+      combined = check::mix64(check::mix64(combined, s.seed), r.digest);
 
       if (args.digest) {
         // Determinism backstop: the same scenario run twice must land on
@@ -231,12 +222,10 @@ int main(int argc, char** argv) {
         // a divergence also convicts a lossy codec round-trip.
         const check::RunResult twin = check::run_scenario(
             s, {.with_oracle = args.with_oracle,
-                .wire = check::WireMode::FullV2,
-                .shards = args.shards});
+                .wire = check::WireMode::FullV2});
         ++stats.digest_runs;
-        const bool same_mode = primary_shards == args.shards;
         if (twin.digest != r.digest ||
-            (same_mode && twin.tie_fingerprint != r.tie_fingerprint)) {
+            twin.tie_fingerprint != r.tie_fingerprint) {
           ++stats.digest_divergences;
           std::cout << "DIGEST DIVERGENCE seed " << s.seed << " ("
                     << s.label() << "): digest " << std::hex << r.digest
@@ -253,8 +242,8 @@ int main(int argc, char** argv) {
       std::cout << "FAIL seed " << s.seed << " (" << s.label() << "), "
                 << r.violations.size() << " violation(s):\n";
       print_violations(r);
-      const check::ShrinkResult shrunk = check::shrink_scenario(
-          s, {.with_oracle = args.with_oracle, .shards = primary_shards});
+      const check::ShrinkResult shrunk =
+          check::shrink_scenario(s, {.with_oracle = args.with_oracle});
       stats.shrink_attempts += shrunk.attempts;
       stats.shrink_steps += shrunk.steps;
       const std::string path = fail_path(args, s.seed);
@@ -269,6 +258,8 @@ int main(int argc, char** argv) {
               << stats.snapshots_checked << " snapshots checked, "
               << stats.conservation_checked << " conservation checks, "
               << failures << " failing seed(s)\n";
+    std::cout << "combined digest 0x" << std::hex << combined << std::dec
+              << "\n";
     bench::check(failures == 0, "all fuzzed scenarios satisfied invariants");
     if (args.digest) {
       std::cout << "Digest mode: " << stats.digest_runs

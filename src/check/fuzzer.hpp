@@ -44,13 +44,6 @@ struct RunOptions {
   /// Self-test: deliberately break the conservation checker (drop the
   /// channel-state term) to prove the find-and-shrink loop works.
   bool break_conservation = false;
-
-  /// Shard count for the network under test (1 = serial engine). The
-  /// workload generators and fault injectors are wired onto each
-  /// component's owning shard, so the same scenario must produce the same
-  /// digest for every value — `speedlight_fuzz --digest --shards N`
-  /// twin-runs serial vs N-shard and enforces exactly that.
-  std::size_t shards = 1;
 };
 
 struct RunResult {
@@ -78,6 +71,11 @@ struct RunResult {
 
   [[nodiscard]] bool failed() const { return !violations.empty(); }
 };
+
+/// FNV-1a offset basis and one-word fold (byte by byte): the mix behind
+/// RunResult::digest, exposed so a sweep can fold per-run digests into one.
+inline constexpr std::uint64_t kDigestBasis = 14695981039346656037ull;
+[[nodiscard]] std::uint64_t mix64(std::uint64_t h, std::uint64_t v);
 
 /// Run one scenario (deterministic: equal scenarios yield equal results).
 [[nodiscard]] RunResult run_scenario(const Scenario& s,

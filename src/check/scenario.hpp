@@ -119,7 +119,7 @@ struct Scenario {
 [[nodiscard]] Scenario generate_scenario(std::uint64_t seed);
 
 /// Budget for the large-fabric sampler: caps the topology draw so a CI
-/// shard can bound its wall-clock and memory.
+/// job can bound its wall-clock and memory.
 struct ScenarioBudget {
   /// Largest admissible switch count; candidate topologies above this are
   /// excluded from the draw. 400 admits fat-tree k=16 (320 switches).

@@ -24,13 +24,11 @@
 #include "net/arena.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
-#include "net/partition.hpp"
 #include "net/soa.hpp"
 #include "net/topology.hpp"
 #include "obs/streaming.hpp"
 #include "obs/timeline.hpp"
 #include "polling/polling_observer.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
 #include "snapshot/observer.hpp"
@@ -63,7 +61,7 @@ struct NetworkOptions {
   bool wire_fast_path = false;
   /// Wire encoding knobs, meaningful with wire_fast_path. The `wire.*`
   /// metrics series (notification/report/keyframe/delta bytes, fallback and
-  /// drop counters) register on the control shard when the fast path is on.
+  /// drop counters) register when the fast path is on.
   snap::WireOptions wire;
 
   /// Enable In-band Network Telemetry on all switches.
@@ -91,26 +89,6 @@ struct NetworkOptions {
   /// Start each control plane's proactive register poll loop.
   bool start_register_poll = false;
 
-  /// Parallel execution: partition the topology into this many shards,
-  /// each driven by its own event queue (and worker thread in Threads
-  /// mode), synchronized conservatively on link-latency lookahead. The
-  /// partitioner may use fewer shards than requested (it never splits a
-  /// zero-latency trunk). 1 (the default) is plain serial execution.
-  /// Any shard count produces bit-identical results: execution order is
-  /// canonical (time, merge key, schedule order) in every mode.
-  std::size_t shards = 1;
-  /// Expected workload flows, used to weight trunks for traffic-aware
-  /// partitioning (shards > 1). Empty = uniform weights (the partitioner
-  /// minimizes the crossing-trunk count). Purely advisory: hints shape the
-  /// shards and the achieved cut (Partition::stats), never the results.
-  std::vector<net::FlowHint> traffic_hints;
-  enum class ExecMode {
-    Auto,     ///< Threads on multi-core hosts, Inline otherwise.
-    Inline,   ///< All shards multiplexed on the calling thread.
-    Threads,  ///< One worker thread per shard.
-  };
-  ExecMode exec_mode = ExecMode::Auto;
-
   /// Fabrics up to this many switches register the classic per-instance
   /// "switch.<name>.*" metric series; larger fabrics register only the
   /// fixed-cardinality fabric-wide streaming view ("fabric.*",
@@ -129,44 +107,12 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // --- Simulation control ----------------------------------------------------
-  /// The control shard's simulator (shard 0: observer, poller, campaign
-  /// scheduling). With shards == 1 this is the only simulator.
-  [[nodiscard]] sim::Simulator& simulator() { return *sims_[0]; }
-  [[nodiscard]] sim::SimTime now() const { return sims_[0]->now(); }
+  /// The one simulator every device, link and service runs on.
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] sim::SimTime now() const { return sim_.now(); }
   void run_for(sim::Duration d) { run_until(now() + d); }
-  void run_until(sim::SimTime t) {
-    if (engine_ != nullptr) {
-      engine_->run_until(t);
-    } else {
-      sims_[0]->run_until(t);
-    }
-  }
-
-  /// Actual shard count after partitioning (<= options().shards).
-  [[nodiscard]] std::size_t num_shards() const { return sims_.size(); }
-  [[nodiscard]] sim::Simulator& shard_simulator(std::size_t i) {
-    return *sims_.at(i);
-  }
-  /// The parallel engine, or nullptr when running serially (1 shard).
-  [[nodiscard]] const sim::ParallelEngine* engine() const {
-    return engine_.get();
-  }
-  [[nodiscard]] const net::Partition& partition() const { return part_; }
-  /// Shard owning switch `s` / host `h` (all zero with 1 shard). Workload
-  /// generators and fault injectors must schedule their events on the
-  /// owning shard's simulator.
-  [[nodiscard]] std::size_t switch_shard(std::size_t s) const {
-    return part_.switch_shard.empty() ? 0 : part_.switch_shard[s];
-  }
-  [[nodiscard]] std::size_t host_shard(std::size_t h) const {
-    return part_.host_shard.empty() ? 0 : part_.host_shard[h];
-  }
-  /// Total pending events across every shard.
-  [[nodiscard]] std::size_t pending() const {
-    std::size_t n = 0;
-    for (const auto& s : sims_) n += s->pending();
-    return n;
-  }
+  void run_until(sim::SimTime t) { sim_.run_until(t); }
+  [[nodiscard]] std::size_t pending() const { return sim_.pending(); }
 
   // --- Topology access --------------------------------------------------------
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
@@ -217,24 +163,21 @@ class Network {
   [[nodiscard]] snap::PtpService& ptp() { return *ptp_; }
   [[nodiscard]] const NetworkOptions& options() const { return options_; }
 
-  /// Fabric-wide wire accounting summed across shards (all zeros unless
-  /// wire_fast_path). Collect while the simulation is not running.
-  [[nodiscard]] snap::WireStats wire_stats_total() const;
+  /// Fabric-wide wire accounting (all zeros unless wire_fast_path).
+  [[nodiscard]] snap::WireStats wire_stats_total() const {
+    return wire_stats_;
+  }
 
-  /// Mutable view of the live timing model (the control shard's copy;
-  /// with 1 shard it is the only copy, and every component holds a
+  /// Mutable view of the live timing model. Every component holds a
   /// reference into it, so mutation takes effect immediately — the
   /// fault-injection hook behind notification drop bursts and CPU
-  /// service-time spikes in src/check). Parameters sampled once at
+  /// service-time spikes in src/check. Parameters sampled once at
   /// construction (clock drift rates, buffer capacities) are unaffected.
-  /// Under the engine, prefer mutate_timing_at(), which mutates every
-  /// shard's copy at one simulated instant.
-  [[nodiscard]] sim::TimingModel& mutable_timing() { return *shard_timing_[0]; }
+  [[nodiscard]] sim::TimingModel& mutable_timing() { return timing_; }
 
-  /// Apply `fn` to every shard's timing copy at simulated time `when`
-  /// (>= now). The mutation lands as an ordinary event on each shard's
-  /// queue, so every shard sees it at the same simulated instant and the
-  /// run stays deterministic for any shard count.
+  /// Apply `fn` to the timing model at simulated time `when` (>= now). The
+  /// mutation lands as an ordinary event under a fresh merge key, so its
+  /// tie order against other same-time events is fixed.
   void mutate_timing_at(sim::SimTime when,
                         std::function<void(sim::TimingModel&)> fn);
 
@@ -253,53 +196,36 @@ class Network {
   /// device/unit so exports are human-readable. Idempotent.
   void enable_tracing(std::size_t capacity = obs::Tracer::kDefaultCapacity);
 
-  /// The control shard's tracer / metrics registry. Under the engine each
-  /// shard records into its own ring; enable_tracing() turns them all on,
-  /// and export_chrome_trace() merges every shard's records.
-  [[nodiscard]] obs::Tracer& tracer() { return sims_[0]->tracer(); }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return sims_[0]->metrics(); }
+  /// The simulator's tracer / metrics registry.
+  [[nodiscard]] obs::Tracer& tracer() { return sim_.tracer(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return sim_.metrics(); }
 
   /// Write the recorded trace as Chrome trace-event JSON (loadable in
   /// Perfetto / chrome://tracing). Returns false on I/O failure.
   bool export_chrome_trace(const std::string& path) const;
-
-  /// Start the engine's per-shard round profiler (obs/prof.hpp): one
-  /// RoundRecord per planned window or stall, per shard. No-op when
-  /// running serially (1 shard) or when the trace layer is compiled out.
-  /// Call before run_until; read engine_profiler() after it returns.
-  void enable_engine_profiling(std::size_t capacity_per_shard = 0);
-
-  /// The engine's round profiler, or nullptr (serial run, profiling never
-  /// enabled, or trace layer compiled out). Feed obs::analyze() for the
-  /// blame matrix or obs::export_profile_chrome_trace() for the timeline.
-  [[nodiscard]] const obs::EngineProfiler* engine_profiler() const;
 
   /// Reconstruct the causal timeline of snapshot `id` from the trace ring.
   /// Requires enable_tracing() before the snapshot ran.
   [[nodiscard]] obs::SnapshotTimeline snapshot_timeline(std::uint64_t id) const;
 
  private:
-  /// Keyed endpoint delivering onto shard `to`, posted from shard `from`.
-  /// Same-shard posts are local keyed schedules; cross-shard posts go
-  /// through the engine's channel. Serial builds get the local form too,
-  /// so the canonical (time, key, seq) order is identical in every mode.
-  [[nodiscard]] sim::Endpoint make_endpoint(std::size_t from, std::size_t to,
-                                            sim::MergeKey key);
+  /// A keyed endpoint under the next merge key. Keys are allocated in
+  /// construction order, so each link's, RPC's and poll leg's tie rank is
+  /// a pure function of the topology.
+  [[nodiscard]] sim::Endpoint make_endpoint() {
+    return {sim_, next_key_++};
+  }
 
   NetworkOptions options_;
   net::TopologySpec spec_;
-  net::Partition part_;
   /// Struct-of-arrays topology core. Declared before the device arenas:
   /// every switch's RoutingTable points into routes_, so the route base
   /// must outlive the switches (members destroy in reverse order).
   net::TopologyIndex index_;
   net::CompactRoutes routes_;
-  /// Shard 0 is the control shard (observer, poller, campaign clock).
-  std::vector<std::unique_ptr<sim::Simulator>> sims_;
-  /// Per-shard timing copies at stable addresses; [0] doubles as the
-  /// serial-mode "the" timing model.
-  std::vector<std::unique_ptr<sim::TimingModel>> shard_timing_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
+  sim::Simulator sim_;
+  /// The live timing model every component holds a reference into.
+  sim::TimingModel timing_;
   sim::MergeKey next_key_ = 1;  ///< 0 is reserved for unkeyed local events.
 
   /// Contiguous id-indexed device storage: one allocation per kind, stable
@@ -312,9 +238,8 @@ class Network {
   /// Fabric-wide O(1)-memory metric accumulators (large fabrics).
   obs::StreamingMetrics streaming_;
 
-  /// Wire accounting, one instance per shard at a stable address (each is
-  /// written only by its shard; readers sum across shards when idle).
-  std::vector<std::unique_ptr<snap::WireStats>> wire_stats_;
+  /// Wire accounting shared by every encoder, transport and decoder.
+  snap::WireStats wire_stats_;
 
   std::unique_ptr<snap::PtpService> ptp_;
   std::unique_ptr<snap::Observer> observer_;

@@ -13,7 +13,6 @@
 #include "net/packet.hpp"
 #include "net/types.hpp"
 #include "sim/inplace_callback.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -61,17 +60,14 @@ class Link {
   void drop_next(std::uint64_t n) { forced_drops_ += n; }
 
   /// Audit hooks: departure is when serialization completes (the packet has
-  /// fully left the sender); arrival is delivery at the far end. Under the
-  /// parallel engine the arrive tap fires on the *destination* shard (it
-  /// observes the delivery event); install taps before the run starts.
+  /// fully left the sender); arrival is delivery at the far end.
   void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
   /// Route arrivals through a keyed endpoint: gives the link an intrinsic
-  /// same-timestamp merge rank (the link id), and — when the destination
-  /// node lives on another shard — carries the delivery through that
-  /// shard's channel. Unwired (the default) falls back to an unkeyed local
-  /// event, the pre-sharding behaviour standalone tests rely on.
+  /// same-timestamp merge rank (its construction order). Unwired (the
+  /// default) falls back to an unkeyed local event, which standalone
+  /// tests rely on.
   void set_arrival_endpoint(sim::Endpoint ep) { arrival_ = ep; }
 
   [[nodiscard]] sim::Duration serialization_delay(std::uint32_t bytes) const {

@@ -70,9 +70,7 @@ void write_chrome_trace(std::ostream& os,
 
   // Merge the rings deterministically: sort by (ts, tracer index, ring
   // position). Per-ring order is already chronological, so the tracer index
-  // and position are a total tie-break — a threaded run with per-shard
-  // rings exports the same byte stream no matter how its workers were
-  // scheduled.
+  // and position are a total tie-break.
   struct Ref {
     const TraceEvent* e;
     std::size_t tracer;

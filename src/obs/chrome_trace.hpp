@@ -31,12 +31,10 @@ namespace speedlight::obs {
 /// Chrome trace-event JSON.
 void write_chrome_trace(std::ostream& os, const Tracer& tracer);
 
-/// Merge several tracers' rings into one trace — how a sharded network's
-/// per-shard flight recorders are exported on a single time axis. Records
-/// are merged deterministically by (timestamp, tracer index, ring
+/// Merge several tracers' rings into one trace on a single time axis.
+/// Records are merged deterministically by (timestamp, tracer index, ring
 /// position), so the same recorded history always serializes to the same
-/// bytes regardless of worker scheduling; duplicate name metadata across
-/// tracers is harmless.
+/// bytes; duplicate name metadata across tracers is harmless.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<const Tracer*>& tracers);
 

@@ -18,9 +18,6 @@ const char* event_name(EventName n) {
     case EventName::ObsComplete:  return "obs.complete";
     case EventName::PollSweep:    return "poll.sweep";
     case EventName::PollRead:     return "poll.read";
-    case EventName::EngWindow:    return "eng.window";
-    case EventName::EngStallPeer: return "eng.stall.peer";
-    case EventName::EngStallSelf: return "eng.stall.self";
   }
   return "?";
 }
@@ -33,7 +30,6 @@ const char* category_name(Category c) {
     case Category::ControlPlane: return "control-plane";
     case Category::Observer:     return "observer";
     case Category::Sim:          return "sim";
-    case Category::Engine:       return "engine";
   }
   return "?";
 }

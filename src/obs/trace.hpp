@@ -37,7 +37,6 @@ enum class Category : std::uint8_t {
   ControlPlane,  ///< On-switch control plane (Figures 6-7).
   Observer,      ///< Snapshot observer / polling baseline.
   Sim,           ///< Simulator internals.
-  Engine,        ///< Parallel engine rounds (obs/prof.hpp profiler).
 };
 
 /// Every event the recorder knows how to emit. Keep in sync with
@@ -57,9 +56,6 @@ enum class EventName : std::uint16_t {
   ObsComplete,    ///< Global snapshot assembled (a0=vsid, a1=#reports).
   PollSweep,      ///< One polling sweep (span; a0=#samples).
   PollRead,       ///< One polled register read (a0=unit key, a1=value).
-  EngWindow,      ///< Executed engine window (span; a0=#events, a1=#drained).
-  EngStallPeer,   ///< Stall bound by a peer clock (span; a0=producer, a1=rounds).
-  EngStallSelf,   ///< Stall bound by the shard's own feedback cycle.
 };
 
 [[nodiscard]] const char* event_name(EventName n);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/types.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
@@ -59,20 +58,19 @@ class PollingObserver {
   PollingObserver(const PollingObserver&) = delete;
   PollingObserver& operator=(const PollingObserver&) = delete;
 
-  /// Lower bound on each leg of a poll round-trip. Sampled RTTs are
-  /// clamped to at least twice this, so both the request leg (poller ->
-  /// unit shard) and the response leg (unit shard -> poller) stay above
-  /// the engine's cross-shard lookahead.
+  /// Lower bound on each leg of a poll round-trip on the wired path.
+  /// Sampled RTTs are clamped to at least twice this, so the request leg
+  /// (poller -> unit) and the response leg (unit -> poller) are never
+  /// zero-length.
   static constexpr sim::Duration kMinPollHop = sim::usec(1);
 
   /// Add a unit to the poll schedule (sweeps read units in add order).
-  /// `read` posts the register read onto the unit's shard; `record` posts
-  /// the response back to the poller's shard. Unwired endpoints (the
-  /// default) poll entirely on the poller's simulator — the pre-sharding
-  /// behaviour, where the read happens at the end of the round-trip.
-  /// Wired endpoints split the RTT: read at the unit at t + rtt/2, record
-  /// at the poller at t + rtt — the mid-flight read is what a real agent
-  /// responding at the far end does, and both legs respect lookahead.
+  /// `read` posts the register read at the unit; `record` posts the
+  /// response back to the poller; each leg carries its endpoint's merge
+  /// key. Unwired endpoints (the default) read at the end of the
+  /// round-trip as one unkeyed event. Wired endpoints split the RTT: read
+  /// at the unit at t + rtt/2, record at the poller at t + rtt — the
+  /// mid-flight read is what a real agent responding at the far end does.
   void add_unit(snap::UnitHandle* unit, sim::Endpoint read = {},
                 sim::Endpoint record = {}) {
     units_.push_back(PolledUnit{unit, read, record});
@@ -91,8 +89,8 @@ class PollingObserver {
 
   struct PolledUnit {
     snap::UnitHandle* unit;
-    sim::Endpoint read;    ///< Poller shard -> unit shard.
-    sim::Endpoint record;  ///< Unit shard -> poller shard.
+    sim::Endpoint read;    ///< Poller -> unit.
+    sim::Endpoint record;  ///< Unit -> poller.
   };
 
   sim::Simulator& sim_;

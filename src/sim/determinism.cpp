@@ -6,12 +6,13 @@ namespace speedlight::sim::det {
 
 namespace {
 
-// Violation counters are process-global atomics: the parallel engine's
-// workers each mark their own data-path scopes (the depth counters below
-// stay thread-local), but a violation on any worker must be visible to the
-// main thread that reads datapath_allocs() after the run. Relaxed ordering
-// suffices — the engine's barrier join orders the reads — and the atomics
-// are only touched on an actual violation, never on the hot path.
+// Violation counters are process-global atomics: data-path scopes are
+// marked per thread (the depth counters below stay thread-local), but a
+// violation on any thread must be visible to whichever thread reads
+// datapath_allocs() afterwards (a test harness may run simulations on
+// helper threads). Relaxed ordering suffices — thread join orders the
+// reads — and the atomics are only touched on an actual violation, never
+// on the hot path.
 std::atomic<std::uint64_t> g_datapath_allocs{0};
 std::atomic<std::uint64_t> g_datapath_alloc_bytes{0};
 

@@ -102,10 +102,7 @@ class DetAllow {
 /// Collects same-timestamp event cohorts and fingerprints the pairs that
 /// touched a common scope. Installation is per thread (the pointer is
 /// thread-local): one auditor audits the thread it was installed on,
-/// which for the serial engine is the whole simulation. Parallel-engine
-/// workers run unaudited — cross-mode verification compares end-state
-/// digests instead (see DESIGN.md section 12). install() also resets the
-/// statistics.
+/// which is the whole simulation. install() also resets the statistics.
 class Auditor {
  public:
   Auditor() = default;

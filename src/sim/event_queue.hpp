@@ -4,11 +4,11 @@
 // Events at the same timestamp run in (merge key, schedule order): an
 // explicit 32-bit merge key ranks first and a monotonically increasing
 // sequence number breaks the remaining ties. Plain schedule() uses key 0,
-// which reproduces pure schedule order. Keys exist for the parallel engine:
-// cross-shard deliveries carry an intrinsic channel key so that the
-// same-timestamp merge order at a destination is a property of the event
-// itself, not of which shard scheduled it first — the serial and sharded
-// engines then interleave identically (see DESIGN.md section 12).
+// which reproduces pure schedule order. Channel deliveries (links, RPCs,
+// poll legs) carry an intrinsic key allocated in topology-construction
+// order, so the same-timestamp merge order at a destination is a property
+// of the channel, not of which component scheduled first (see DESIGN.md
+// section 12).
 //
 // Design (allocation-free in steady state):
 //  - Callbacks live in a slab of recycled slots; freed slot indices are kept
@@ -54,8 +54,8 @@ class EventQueue {
   }
 
   /// Schedule with an explicit same-timestamp merge key: events at equal
-  /// times run in (key, schedule order). Cross-shard channels use their
-  /// channel id so delivery interleaving is independent of sharding.
+  /// times run in (key, schedule order). Channels use their channel id so
+  /// delivery interleaving is fixed by topology construction order.
   EventId schedule_keyed(SimTime when, MergeKey key, Callback fn);
 
   /// Cancel a previously scheduled event. Cancelling an already-executed or

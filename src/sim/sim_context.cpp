@@ -3,9 +3,9 @@
 namespace speedlight::sim {
 
 namespace {
-// The active context is genuinely per OS thread (that is the point: it
-// tracks which shard this thread is currently executing), so a
-// thread_local pointer is the correct mechanism, not a hazard.
+// The active context is genuinely per OS thread (each thread runs its own
+// simulations), so a thread_local pointer is the correct mechanism, not a
+// hazard.
 thread_local SimContext* tl_current = nullptr;
 }  // namespace
 
@@ -19,9 +19,8 @@ SimContext::~SimContext() {
 
 SimContext& SimContext::current() noexcept {
   if (tl_current == nullptr) {
-    // Threads outside any engine (the serial simulator's caller thread,
-    // unit tests) fall back to a per-thread default context — exactly the
-    // old thread-local-singleton behaviour.
+    // Threads that never installed a context fall back to a per-thread
+    // default one.
     static thread_local SimContext default_ctx;
     tl_current = &default_ctx;
   }

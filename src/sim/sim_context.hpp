@@ -1,16 +1,13 @@
-// Per-worker simulation context.
+// Scoped home for cross-cutting per-run state — today only the packet pool
+// freelist (net/packet_pool.hpp), which is reached from anywhere rather
+// than threaded through every Node/Link constructor.
 //
-// The event core used to be single-threaded, so cross-cutting state —
-// notably the packet pool freelist — lived in thread-local singletons
-// reached from anywhere. The parallel engine (sim/parallel.hpp) runs one
-// shard per worker thread *and* can multiplex several shards onto one
-// thread in inline mode, so "per thread" is no longer the right ownership:
-// each shard needs its own pool and counters no matter which OS thread
-// happens to execute it. SimContext is that explicit home. Exactly one
-// context is active per thread at a time; the engine installs a shard's
-// context (Scoped) around every slice of that shard's execution, and
-// threads that never install one (the serial simulator, unit tests) get a
-// lazily created thread-local default, preserving the old behaviour.
+// Exactly one context is active per thread at a time. Threads that never
+// install one get a lazily created thread-local default, so a plain run
+// needs no setup at all. A harness that wants a run's pool (and its
+// allocation counters) to start from zero and die with the run installs
+// its own context (Scoped) around that run; the benchmark in perfbench/
+// does this for every measured pass.
 //
 // State lives in type-erased per-context slots so lower layers stay
 // dependency-clean: net::PacketPool registers itself from src/net without
@@ -32,8 +29,8 @@ class SimContext {
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
-  /// The calling thread's active context (the shard context installed by
-  /// the engine, or this thread's default context).
+  /// The calling thread's active context (the innermost Scoped one, or
+  /// this thread's default context).
   [[nodiscard]] static SimContext& current() noexcept;
 
   /// Per-context singleton of T, created on first use. O(1): each T is
@@ -53,9 +50,7 @@ class SimContext {
   }
 
   /// RAII installer: makes `ctx` the calling thread's current context for
-  /// the enclosed extent, restoring the previous one on exit. Worker
-  /// threads hold one for their lifetime; the inline engine swaps one per
-  /// shard slice.
+  /// the enclosed extent, restoring the previous one on exit.
   class Scoped {
    public:
     explicit Scoped(SimContext& ctx) noexcept;

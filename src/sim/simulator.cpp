@@ -22,19 +22,6 @@ std::size_t Simulator::run_until(SimTime until) {
   return executed;
 }
 
-std::size_t Simulator::run_before(SimTime horizon) {
-  std::size_t executed = 0;
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    auto [time, seq, fn] = queue_.pop();
-    now_ = time;
-    det::EventScope audit(time, seq);
-    fn();
-    ++executed;
-  }
-  stats_.executed += executed;
-  return executed;
-}
-
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [time, seq, fn] = queue_.pop();

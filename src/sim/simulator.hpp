@@ -85,8 +85,7 @@ class Simulator {
   /// at() with an explicit same-timestamp merge key (see
   /// EventQueue::schedule_keyed). Cross-node channels schedule deliveries
   /// with their channel id so equal-time interleaving at the destination is
-  /// a property of the channel, not of scheduling order — which is what
-  /// makes serial and sharded execution interleave identically.
+  /// a property of the channel, not of scheduling order.
   EventId at_keyed(SimTime when, MergeKey key, EventQueue::Callback fn) {
     ++stats_.scheduled;
     if (when < now_) {
@@ -107,29 +106,8 @@ class Simulator {
   /// Returns the number of events executed.
   std::size_t run_until(SimTime until = std::numeric_limits<SimTime>::max());
 
-  /// Run every event with timestamp strictly less than `horizon` — the
-  /// parallel engine's inner loop: a shard may execute exactly the events
-  /// the lookahead window proves no other shard can still affect.
-  /// Does NOT advance now() to the horizon (see advance_now()).
-  std::size_t run_before(SimTime horizon);
-
   /// Run exactly one event if available; returns whether one ran.
   bool step();
-
-  /// Timestamp of the next pending event, or SimTime max if none — the
-  /// shard's contribution to the engine's global minimum.
-  [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? std::numeric_limits<SimTime>::max()
-                          : queue_.next_time();
-  }
-
-  /// Advance now() without executing anything (monotonic; earlier times are
-  /// ignored). The engine moves every shard's clock to the committed window
-  /// edge so clamped at() calls and now()-relative sampling agree across
-  /// shards regardless of which shard had events in the window.
-  void advance_now(SimTime t) {
-    if (t > now_) now_ = t;
-  }
 
   /// Pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -159,6 +137,30 @@ class Simulator {
   SimulatorStats stats_;
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
+};
+
+/// A keyed posting handle: schedules onto a fixed simulator under a fixed
+/// same-timestamp merge key. The network builder hands one to every link,
+/// report RPC, request RPC and poll leg, with keys allocated in topology
+/// construction order, so equal-time ties resolve by that order rather
+/// than by whichever component happened to schedule first. A
+/// default-constructed Endpoint is unwired — callers treat that as "use an
+/// unkeyed local event" so standalone component tests are unaffected.
+class Endpoint {
+ public:
+  Endpoint() = default;
+  Endpoint(Simulator& sim, MergeKey key) : sim_(&sim), key_(key) {}
+
+  [[nodiscard]] bool wired() const { return sim_ != nullptr; }
+
+  /// Schedule `fn` at absolute time `when` under this endpoint's key.
+  void post(SimTime when, InplaceCallback fn) {
+    sim_->at_keyed(when, key_, std::move(fn));
+  }
+
+ private:
+  Simulator* sim_ = nullptr;
+  MergeKey key_ = 0;
 };
 
 }  // namespace speedlight::sim

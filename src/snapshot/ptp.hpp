@@ -4,11 +4,9 @@
 // between corrections.
 //
 // Each clock gets its own correction loop and its own RNG stream (forked
-// per managed clock, in manage order): the loop's events run on the shard
-// that owns the clock's device, and the draws a clock sees depend only on
-// its own correction schedule — never on how many other clocks exist or
-// how the topology was sharded. That independence is what keeps sharded
-// runs digest-identical to serial ones.
+// per managed clock, in manage order), so the draws a clock sees depend
+// only on its own correction schedule — never on how many other clocks
+// exist.
 #pragma once
 
 #include <memory>
@@ -31,18 +29,12 @@ class PtpService {
   PtpService& operator=(const PtpService&) = delete;
 
   /// Take over a clock: aligns it immediately and on every future round.
-  /// The correction loop runs on `clock_sim` and samples from `clock_timing`
-  /// — pass the owning shard's simulator and timing copy; the single-arg
-  /// form uses the service's own (single-shard setups).
-  void manage(sim::LocalClock* clock) { manage(clock, sim_, timing_); }
-  void manage(sim::LocalClock* clock, sim::Simulator& clock_sim,
-              const sim::TimingModel& clock_timing) {
+  void manage(sim::LocalClock* clock) {
     clocks_.push_back(std::make_unique<Managed>(Managed{
-        clock, &clock_sim, &clock_timing,
-        rng_.fork("clock" + std::to_string(clocks_.size()))}));
+        clock, rng_.fork("clock" + std::to_string(clocks_.size()))}));
     Managed& m = *clocks_.back();
-    m.clock->synchronize(m.sim->now(), m.timing->sample_ptp_residual(m.rng),
-                         m.timing->sample_drift_ppm(m.rng));
+    m.clock->synchronize(sim_.now(), timing_.sample_ptp_residual(m.rng),
+                         timing_.sample_drift_ppm(m.rng));
     if (running_) schedule_round(m);
   }
 
@@ -56,15 +48,13 @@ class PtpService {
  private:
   struct Managed {
     sim::LocalClock* clock;
-    sim::Simulator* sim;
-    const sim::TimingModel* timing;
     sim::Rng rng;
   };
 
   void schedule_round(Managed& m) {
-    m.sim->after(m.timing->ptp_sync_interval, [this, &m]() {
-      m.clock->synchronize(m.sim->now(), m.timing->sample_ptp_residual(m.rng),
-                           m.timing->sample_drift_ppm(m.rng));
+    sim_.after(timing_.ptp_sync_interval, [this, &m]() {
+      m.clock->synchronize(sim_.now(), timing_.sample_ptp_residual(m.rng),
+                           timing_.sample_drift_ppm(m.rng));
       schedule_round(m);
     });
   }

@@ -67,29 +67,30 @@ TEST(BenchdiffFlatten, DottedPathsBoolsAndArrays) {
 }
 
 TEST(BenchdiffFlatten, AcceptsTheBenchWriterOutput) {
-  // Shape emitted by bench_common.hpp (v2 schema with profile + registry).
+  // Shape emitted by bench_common.hpp (v2 schema with a registry dump).
   Flat flat;
   ASSERT_TRUE(flatten_json(
       R"({
-  "bench": "perf_parallel",
+  "bench": "fig11_scalability",
   "schema": "speedlight-bench-v2",
   "wall_time_s": 1.5,
   "checks_passed": 21,
   "checks_failed": 0,
   "metrics": {
-    "rounds": 2377,
-    "rounds_scenario": "twosite.shards2.inline"
+    "fat_tree.k16.completed": 3,
+    "fat_tree.k16.label": "k16"
   },
-  "profile": {
-    "fabric": {"stalls": 262428, "stall_matrix": [[0, 1], [2, 0]]}
-  },
-  "registry": {}
+  "registry": {
+    "cp.s0.reports_sent": 90,
+    "sim.events.executed": 11640
+  }
 })",
       flat));
   EXPECT_DOUBLE_EQ(flat.at("checks_failed"), 0);
-  EXPECT_DOUBLE_EQ(flat.at("metrics.rounds"), 2377);
-  EXPECT_DOUBLE_EQ(flat.at("profile.fabric.stalls"), 262428);
-  EXPECT_DOUBLE_EQ(flat.at("profile.fabric.stall_matrix.1.0"), 2);
+  EXPECT_DOUBLE_EQ(flat.at("metrics.fat_tree.k16.completed"), 3);
+  EXPECT_EQ(flat.count("metrics.fat_tree.k16.label"), 0u);
+  EXPECT_DOUBLE_EQ(flat.at("registry.cp.s0.reports_sent"), 90);
+  EXPECT_DOUBLE_EQ(flat.at("registry.sim.events.executed"), 11640);
 }
 
 TEST(BenchdiffFlatten, RejectsMalformedJson) {

@@ -62,7 +62,7 @@ std::set<std::pair<std::size_t, std::string>> actual(
 }
 
 /// Fixtures named datapath_* are scanned as if they lived on the data
-/// path; sim_* as if under src/sim/ (the concurrency-rule scope).
+/// path; sim_* as if under src/sim/ (the bare-memory-order scope).
 std::string synthetic_path(const std::string& basename) {
   if (basename.rfind("datapath_", 0) == 0) return "src/switchlib/" + basename;
   if (basename.rfind("sim_", 0) == 0) return "src/sim/" + basename;
@@ -87,8 +87,8 @@ TEST(LintTool, FixturesProduceExactlyTheMarkedDiagnostics) {
           << name << ": clean fixtures must not carry LINT-EXPECT markers";
     }
   }
-  EXPECT_GE(fixtures, 11u) << "fixture directory looks incomplete";
-  EXPECT_GE(seeded, 24u) << "seeded violations went missing";
+  EXPECT_GE(fixtures, 8u) << "fixture directory looks incomplete";
+  EXPECT_GE(seeded, 15u) << "seeded violations went missing";
 }
 
 TEST(LintTool, DatapathRulesRelaxOffTheDataPath) {
@@ -114,41 +114,20 @@ TEST(LintTool, DatapathClassification) {
   EXPECT_FALSE(lint::is_datapath("bench/speedlight_fuzz.cpp"));
 }
 
-TEST(LintTool, ProfilerScopeCoversDatapathAndEngines) {
-  EXPECT_TRUE(lint::is_profiler_scope("src/sim/parallel.cpp"));
-  EXPECT_TRUE(lint::is_profiler_scope("/abs/repo/src/sim/parallel.hpp"));
-  EXPECT_TRUE(lint::is_profiler_scope("src/net/link.hpp"));
-  EXPECT_FALSE(lint::is_profiler_scope("src/obs/prof.cpp"));
-  EXPECT_FALSE(lint::is_profiler_scope("bench/perf_parallel.cpp"));
-}
-
-TEST(LintTool, ProfilerRuleRelaxesOutsideItsScope) {
-  const fs::path file = fs::path(SPEEDLIGHT_LINT_FIXTURE_DIR) /
-                        "datapath_profiler_guard_violation.cpp";
-  const std::string content = read_file(file);
-  // Same bytes under src/obs (the profiler's own home): no diagnostics —
-  // the guard discipline is a call-site rule, not an implementation rule.
-  EXPECT_TRUE(lint::scan_content("src/obs/moved.cpp", content).empty());
-}
-
 TEST(LintTool, ConcurrencyScopeClassification) {
-  EXPECT_TRUE(lint::is_concurrency_scope("src/sim/spsc_ring.hpp"));
-  EXPECT_TRUE(lint::is_concurrency_scope("/abs/repo/src/sim/parallel.cpp"));
-  EXPECT_TRUE(lint::is_concurrency_scope("src/obs/prof.hpp"));
+  EXPECT_TRUE(lint::is_concurrency_scope("src/sim/determinism.cpp"));
+  EXPECT_TRUE(lint::is_concurrency_scope("/abs/repo/src/sim/simulator.hpp"));
+  EXPECT_TRUE(lint::is_concurrency_scope("src/obs/metrics.hpp"));
   EXPECT_TRUE(lint::is_concurrency_scope("src/net/link.hpp"));
   EXPECT_FALSE(lint::is_concurrency_scope("src/check/fuzzer.cpp"));
   EXPECT_FALSE(lint::is_concurrency_scope("src/stats/histogram.cpp"));
 }
 
 TEST(LintTool, ConcurrencyRulesRelaxOutsideTheirScope) {
-  const fs::path dir = SPEEDLIGHT_LINT_FIXTURE_DIR;
-  for (const char* name :
-       {"sim_memory_order_violation.cpp", "sim_shared_member_violation.cpp"}) {
-    const std::string content = read_file(dir / name);
-    // Same bytes under src/check (no threads there): nothing to report.
-    EXPECT_TRUE(lint::scan_content("src/check/moved.cpp", content).empty())
-        << name;
-  }
+  const std::string content = read_file(
+      fs::path(SPEEDLIGHT_LINT_FIXTURE_DIR) / "sim_memory_order_violation.cpp");
+  // Same bytes under src/check (no atomics there): nothing to report.
+  EXPECT_TRUE(lint::scan_content("src/check/moved.cpp", content).empty());
 }
 
 TEST(LintTool, RuleTableIsConsistent) {
@@ -157,7 +136,7 @@ TEST(LintTool, RuleTableIsConsistent) {
     EXPECT_TRUE(names.insert(r.name).second) << "duplicate rule " << r.name;
     EXPECT_NE(std::string(r.summary), "");
   }
-  EXPECT_GE(names.size(), 11u);
+  EXPECT_GE(names.size(), 9u);
 }
 
 }  // namespace

@@ -259,16 +259,16 @@ TEST(ChromeTrace, MultiTracerMergeIsSortedAndDeterministic) {
   if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "trace layer compiled out";
   // Two tracers with interleaved, partially-equal timestamps. The export
   // must order events by (ts, tracer index, ring position) — a total,
-  // input-order-independent key — so threaded runs produce one canonical
+  // input-order-independent key — so a merged export is one canonical
   // byte stream.
   obs::Tracer a;
   obs::Tracer b;
   a.enable(8);
   b.enable(8);
-  a.instant(obs::Category::Engine, obs::EventName::EngWindow, 1, 30, 0, 0);
-  a.instant(obs::Category::Engine, obs::EventName::EngWindow, 1, 10, 1, 0);
-  b.instant(obs::Category::Engine, obs::EventName::EngStallPeer, 2, 10, 3, 0);
-  b.instant(obs::Category::Engine, obs::EventName::EngStallPeer, 2, 10, 2, 0);
+  a.instant(obs::Category::Observer, obs::EventName::ObsRequest, 1, 30, 0, 0);
+  a.instant(obs::Category::Observer, obs::EventName::ObsRequest, 1, 10, 1, 0);
+  b.instant(obs::Category::Observer, obs::EventName::PollRead, 2, 10, 3, 0);
+  b.instant(obs::Category::Observer, obs::EventName::PollRead, 2, 10, 2, 0);
 
   std::ostringstream os;
   obs::write_chrome_trace(os, {&a, &b});

@@ -205,6 +205,34 @@ TEST(Simulator, StepExecutesOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
+TEST(Endpoint, LocalAndRemoteRouting) {
+  Simulator sim;
+  Endpoint unwired;
+  EXPECT_FALSE(unwired.wired());
+
+  // A component's own endpoint posts onto its simulator at the given time.
+  std::vector<int> order;
+  Endpoint loc(sim, 7);
+  EXPECT_TRUE(loc.wired());
+  loc.post(10, [&] {
+    EXPECT_EQ(sim.now(), 10);
+    order.push_back(7);
+  });
+  sim.run_until(10);
+  EXPECT_EQ(order, (std::vector<int>{7}));
+
+  // A peer's endpoint (another component's key) posting at the same time
+  // is ordered by merge key, not by who posted first; unkeyed local events
+  // (key 0) keep schedule order ahead of both.
+  order.clear();
+  Endpoint peer(sim, 3);
+  loc.post(20, [&] { order.push_back(7); });
+  peer.post(20, [&] { order.push_back(3); });
+  sim.at(20, [&] { order.push_back(0); });
+  sim.run_until(20);
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 7}));
+}
+
 TEST(Rng, Deterministic) {
   Rng a(12345);
   Rng b(12345);

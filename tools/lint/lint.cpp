@@ -36,18 +36,10 @@ const std::vector<RuleInfo> kRules = {
      "unguarded mutable static state; use const/constexpr, thread_local, or "
      "std::atomic",
      false},
-    {"unguarded-profiler",
-     "profiler hot call outside an #ifndef SPEEDLIGHT_TRACE_DISABLED region; "
-     "the kill switch must compile recording out of the data path",
-     true},
     {"bare-memory-order",
      "weak atomic ordering (relaxed/consume) without an adjacent "
      "speedlight-lint allow pragma stating why it is safe (DESIGN.md "
-     "section 15 audit)",
-     false},
-    {"unannotated-shared-member",
-     "mutable member of a class that owns synchronization (mutex/atomic) "
-     "without a capability annotation (GUARDED_BY / thread role)",
+     "section 11 audit)",
      false},
 };
 
@@ -283,68 +275,6 @@ const std::vector<Matcher> kDatapathTokens = {
     {"virtual-in-datapath", {"virtual"}},
 };
 
-/// Engine-profiler hot calls (obs/prof.hpp). Zero compiled-out overhead is
-/// part of the profiler's contract, so every call site on the hot path must
-/// sit inside a region the SPEEDLIGHT_TRACE=OFF build removes. Member-call
-/// syntax only: a declaration of the same name is not a call.
-const std::vector<std::string> kProfilerTokens = {
-    ".record_round(", "->record_round(", ".note_inline_round(",
-    "->note_inline_round("};
-
-/// Per-line map: is this line inside a preprocessor region that only
-/// compiles when SPEEDLIGHT_TRACE_DISABLED is NOT defined? Tracks the
-/// conditional stack: #ifndef SPEEDLIGHT_TRACE_DISABLED (or
-/// #if !defined(...)) opens a guarded branch, its #else leaves it,
-/// #ifdef's #else enters it. Any enclosing guarded level suffices.
-std::vector<bool> trace_guard_map(const std::vector<std::string>& code) {
-  static const std::string kMacro = "SPEEDLIGHT_TRACE_DISABLED";
-  std::vector<bool> out(code.size(), false);
-  // One entry per open conditional: {condition involves the macro,
-  // current branch only compiles with tracing enabled}.
-  std::vector<std::pair<bool, bool>> stack;
-  for (std::size_t l = 0; l < code.size(); ++l) {
-    const std::string& s = code[l];
-    const std::size_t first = s.find_first_not_of(" \t");
-    if (first == std::string::npos || s[first] != '#') {
-      for (const auto& [trace, guarded] : stack) {
-        if (trace && guarded) {
-          out[l] = true;
-          break;
-        }
-      }
-      continue;
-    }
-    std::size_t p = first + 1;
-    while (p < s.size() && (s[p] == ' ' || s[p] == '\t')) ++p;
-    const auto directive = [&](const char* w) {
-      const std::size_t len = std::char_traits<char>::length(w);
-      return s.compare(p, len, w) == 0 &&
-             (p + len >= s.size() || !ident_char(s[p + len]));
-    };
-    const bool mentions = find_word(s, kMacro) != std::string::npos;
-    const bool negated = mentions && s.find('!') != std::string::npos;
-    if (directive("ifndef")) {
-      stack.emplace_back(mentions, mentions);
-    } else if (directive("ifdef")) {
-      stack.emplace_back(mentions, false);
-    } else if (directive("if")) {
-      stack.emplace_back(mentions, negated);
-    } else if (directive("elif")) {
-      if (!stack.empty()) {
-        if (mentions) stack.back().first = true;
-        stack.back().second = negated;
-      }
-    } else if (directive("else")) {
-      if (!stack.empty() && stack.back().first) {
-        stack.back().second = !stack.back().second;
-      }
-    } else if (directive("endif")) {
-      if (!stack.empty()) stack.pop_back();
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& rules() { return kRules; }
@@ -365,14 +295,6 @@ bool is_datapath(const std::string& path) {
   return false;
 }
 
-bool is_profiler_scope(const std::string& path) {
-  if (is_datapath(path)) return true;
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  return p.find("/src/sim/") != std::string::npos ||
-         p.rfind("src/sim/", 0) == 0;
-}
-
 bool is_concurrency_scope(const std::string& path) {
   if (is_datapath(path)) return true;
   std::string p = path;
@@ -386,13 +308,10 @@ bool is_concurrency_scope(const std::string& path) {
 std::vector<Diagnostic> scan_content(const std::string& path,
                                      const std::string& content) {
   const bool datapath = is_datapath(path);
-  const bool profiler_scope = is_profiler_scope(path);
   const bool concurrency = is_concurrency_scope(path);
   const std::vector<std::string> raw = split_lines(content);
   const Pragmas pragmas = parse_pragmas(path, raw);
   const std::vector<std::string> code = strip_comments_and_strings(content);
-  const std::vector<bool> trace_guarded =
-      profiler_scope ? trace_guard_map(code) : std::vector<bool>();
 
   std::vector<Diagnostic> out = pragmas.errors;
   const auto allowed = [&](std::size_t line_idx, const char* rule) {
@@ -460,14 +379,6 @@ std::vector<Diagnostic> scan_content(const std::string& path,
         }
       }
     }
-    if (profiler_scope && !trace_guarded[l]) {
-      for (const std::string& tok : kProfilerTokens) {
-        if (find_word(s, tok) != std::string::npos) {
-          report(l, "unguarded-profiler", "'" + tok + "'");
-          break;
-        }
-      }
-    }
     // Weak orderings are correct only under a happens-before argument the
     // compiler cannot check; concurrency-scope files must state it next to
     // the load/store (acquire/release and seq_cst need no pragma — they
@@ -519,119 +430,6 @@ std::vector<Diagnostic> scan_content(const std::string& path,
           (eq == std::string::npos || paren < eq);
       if (!guarded && !function_like) {
         report(l, "mutable-static", "'static'");
-      }
-    }
-  }
-
-  // unannotated-shared-member: inside any class that owns a non-static
-  // synchronization primitive (mutex / condition_variable / atomic), every
-  // plain mutable data member must carry a capability annotation
-  // (GUARDED_BY, PT_GUARDED_BY, or a ThreadRole contract) — unguarded
-  // members next to a lock are where data races hide. Line-based
-  // heuristic: members are single-line declarations at the class's body
-  // brace depth; inline method bodies sit deeper and are ignored.
-  if (concurrency) {
-    struct Scope {
-      int body_depth = 0;
-      bool has_sync = false;
-      std::vector<std::pair<std::size_t, std::string>> members;
-    };
-    static const std::vector<std::string> kSyncTokens = {
-        "std::mutex", "std::shared_mutex", "std::condition_variable",
-        "std::atomic", "AnnotatedMutex"};
-    static const std::vector<std::string> kAnnotTokens = {
-        "SPEEDLIGHT_GUARDED_BY", "SPEEDLIGHT_PT_GUARDED_BY", "GUARDED_BY(",
-        "PT_GUARDED_BY(", "ThreadRole"};
-    std::vector<Scope> stack;
-    int depth = 0;
-    bool pending_head = false;
-    for (std::size_t l = 0; l < code.size(); ++l) {
-      const std::string& s = code[l];
-      const bool head_kw =
-          (find_word(s, "class") != std::string::npos ||
-           find_word(s, "struct") != std::string::npos) &&
-          find_word(s, "enum") == std::string::npos &&
-          find_word(s, "friend") == std::string::npos;
-      // Classify this line as a member of the innermost open class before
-      // walking its braces (the declaration lives at the body depth).
-      if (!stack.empty() && depth == stack.back().body_depth && !head_kw &&
-          !pending_head) {
-        Scope& sc = stack.back();
-        const std::string t = trim(s);
-        // `};` of a nested scope and wrapped function-declaration tails
-        // (`... SPEEDLIGHT_REQUIRES(mu);` on its own line) are not member
-        // declarations.
-        const bool decl_tail =
-            !t.empty() && (t.front() == '}' || t.front() == ')' ||
-                           s.find("SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS") !=
-                               std::string::npos ||
-                           s.find("SPEEDLIGHT_REQUIRES") != std::string::npos ||
-                           s.find("SPEEDLIGHT_ACQUIRE") != std::string::npos ||
-                           s.find("SPEEDLIGHT_RELEASE") != std::string::npos ||
-                           s.find("SPEEDLIGHT_RETURN_CAPABILITY") !=
-                               std::string::npos);
-        if (!t.empty() && t.back() == ';' && !decl_tail) {
-          bool sync = false;
-          for (const std::string& tok : kSyncTokens) {
-            if (find_word(s, tok) != std::string::npos) {
-              sync = true;
-              break;
-            }
-          }
-          const bool is_static = find_word(s, "static") != std::string::npos;
-          if (sync && !is_static) {
-            // The primitive itself needs no guard — it IS the guard.
-            sc.has_sync = true;
-          } else {
-            bool skip = is_static;
-            for (const std::string& tok : kAnnotTokens) {
-              if (s.find(tok) != std::string::npos) skip = true;
-            }
-            for (const char* q : {"const", "constexpr", "using", "typedef",
-                                  "friend", "enum", "operator"}) {
-              if (find_word(s, q) != std::string::npos) skip = true;
-            }
-            // A '(' before any '=' is a parameter list: function
-            // declaration, not a data member.
-            const std::size_t paren = s.find('(');
-            const std::size_t eq = s.find('=');
-            if (paren != std::string::npos &&
-                (eq == std::string::npos || paren < eq)) {
-              skip = true;
-            }
-            if (!skip) {
-              sc.members.emplace_back(
-                  l, t.size() > 40 ? t.substr(0, 40) + "..." : t);
-            }
-          }
-        }
-      }
-      bool head_open = pending_head || head_kw;
-      for (const char c : s) {
-        if (c == '{') {
-          ++depth;
-          if (head_open) {
-            stack.push_back({depth, false, {}});
-            head_open = false;
-            pending_head = false;
-          }
-        } else if (c == '}') {
-          if (!stack.empty() && depth == stack.back().body_depth) {
-            const Scope& sc = stack.back();
-            if (sc.has_sync) {
-              for (const auto& [ml, what] : sc.members) {
-                report(ml, "unannotated-shared-member", "'" + what + "'");
-              }
-            }
-            stack.pop_back();
-          }
-          --depth;
-        }
-      }
-      if (head_open && s.find(';') == std::string::npos) {
-        pending_head = true;  // `class Foo` with its '{' on the next line.
-      } else if (s.find(';') != std::string::npos) {
-        pending_head = false;  // Forward declaration.
       }
     }
   }

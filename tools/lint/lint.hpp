@@ -1,6 +1,6 @@
 // speedlight_lint: project-specific static checks the compiler cannot
 // express (DESIGN.md section 11). The simulator's correctness story leans on
-// two properties the type system only partially guards:
+// three properties the type system only partially guards:
 //
 //   1. Bit-determinism — equal seeds must replay byte-identically (the
 //      fuzzer's shrink/replay loop, the golden traces, and --digest all
@@ -11,17 +11,9 @@
 //      and pools (PR 1); a stray std::function, heap keyword, or virtual
 //      added to src/net, src/switchlib, or the snapshot dataplane files
 //      regresses both performance and determinism.
-//   3. A zero-cost profiler kill switch — the engine round profiler
-//      (obs/prof.hpp) promises zero overhead when SPEEDLIGHT_TRACE=OFF, so
-//      its hot calls (record_round, note_inline_round) on the data path and
-//      in src/sim must sit inside #ifndef SPEEDLIGHT_TRACE_DISABLED regions
-//      (the linter tracks the preprocessor conditional stack).
-//   4. Audited concurrency discipline (DESIGN.md section 15) — in
-//      concurrency-scope files (src/sim, src/obs, the data path) every
-//      relaxed/consume atomic access must carry an adjacent allow pragma
-//      stating its happens-before argument, and every mutable member of a
-//      class that owns a mutex or atomic must carry a capability
-//      annotation (GUARDED_BY / thread role).
+//   3. Audited atomics — in concurrency-scope files (src/sim, src/obs, the
+//      data path) every relaxed/consume atomic access must carry an
+//      adjacent allow pragma stating its happens-before argument.
 //
 // The linter scans source text (comments and string literals stripped),
 // emits file:line diagnostics, and exits nonzero on any hit. Legitimate
@@ -65,13 +57,8 @@ struct RuleInfo {
 /// std::function et al. are fine.
 [[nodiscard]] bool is_datapath(const std::string& path);
 
-/// True where the unguarded-profiler rule applies: data-path files plus
-/// everything under src/sim/ (the engines own the profiler call sites).
-[[nodiscard]] bool is_profiler_scope(const std::string& path);
-
-/// True where the concurrency-discipline rules (bare-memory-order,
-/// unannotated-shared-member) apply: data-path files plus src/sim/ and
-/// src/obs/ — everywhere threads and atomics legitimately live.
+/// True where the bare-memory-order rule applies: data-path files plus
+/// src/sim/ and src/obs/ — everywhere atomics legitimately live.
 [[nodiscard]] bool is_concurrency_scope(const std::string& path);
 
 /// Scan one file's contents. `path` is used for diagnostics and for
