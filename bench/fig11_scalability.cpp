@@ -112,13 +112,11 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
 
   core::NetworkOptions opt;
   opt.seed = 818;
-  // Production posture (DESIGN.md section 16): wire fast path + streaming
-  // digest-only assembly. A round's observer state is O(devices) — the raw
-  // unit reports are never retained — and every aggregate below reads the
-  // digests, spread over four modelled observer instances.
-  opt.wire_fast_path = true;
+  // Production posture (DESIGN.md section 16): the default wire path +
+  // streaming digest-only assembly. A round's observer state is
+  // O(devices) — the raw unit reports are never retained — and every
+  // aggregate below reads the per-device digests.
   opt.observer.retain_unit_reports = false;
-  opt.observer.assembly_shards = 4;
   core::Network net(net::make_fat_tree(k), opt);
 
   const std::uint64_t rss_built = obs::current_rss_kb();
@@ -136,7 +134,7 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
         std::max(snap->scheduled_at, snap->latest_advance());
     capture.add(sim::to_usec(last_advance - snap->scheduled_at));
     assemble.add(sim::to_usec(snap->completed_at - last_advance));
-    for (const auto& shard : snap->digests) assembly_entries += shard.size();
+    assembly_entries += snap->digests.size();
     ++out.completed;
   }
   out.spread_us = spread.mean();

@@ -208,8 +208,8 @@ int main(int argc, char** argv) {
       const check::Scenario s = check::generate_scenario(args.seed + i);
       const check::RunResult r = check::run_scenario(
           s, {.with_oracle = args.with_oracle,
-              .wire = args.digest ? check::WireMode::DeltaCompact
-                                  : check::WireMode::Legacy});
+              .wire = args.digest ? snap::WireEncoding::DeltaV2
+                                  : snap::WireEncoding::FullV2});
       stats.account(r);
       combined = check::mix64(check::mix64(combined, s.seed), r.digest);
 
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
         // a divergence also convicts a lossy codec round-trip.
         const check::RunResult twin = check::run_scenario(
             s, {.with_oracle = args.with_oracle,
-                .wire = check::WireMode::FullV2});
+                .wire = snap::WireEncoding::FullV2});
         ++stats.digest_runs;
         if (twin.digest != r.digest ||
             twin.tie_fingerprint != r.tie_fingerprint) {

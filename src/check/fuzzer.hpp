@@ -14,23 +14,9 @@
 #include "check/invariants.hpp"
 #include "check/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "snapshot/wire.hpp"
 
 namespace speedlight::check {
-
-/// Control-plane report/notification shipping model for a scenario run.
-/// `Legacy` is the v1 struct-shipping path (the pinned-corpus default).
-/// The wire modes enable the v2 fast path (DESIGN.md section 16) with
-/// byte-charging *off*, so the event timeline — and therefore the run
-/// digest — must be identical to Legacy except around observer restarts,
-/// where the wire session protocol drops stale in-flight frames that the
-/// legacy path would still accept. The two wire modes always agree with
-/// each other: `speedlight_fuzz --digest` twin-runs DeltaCompact against
-/// FullV2 as the codec-equivalence oracle.
-enum class WireMode : std::uint8_t {
-  Legacy,        ///< v1 struct shipping.
-  DeltaCompact,  ///< v2 DeltaV2 + compact timestamps, uncharged.
-  FullV2,        ///< v2 fixed-size frames, full timestamps, uncharged.
-};
 
 struct RunOptions {
   /// Run an idealized (hardware_faithful = false) twin of the same seeded
@@ -38,8 +24,14 @@ struct RunOptions {
   /// Doubles the cost of a run.
   bool with_oracle = true;
 
-  /// Shipping model for the network under test (see WireMode).
-  WireMode wire = WireMode::Legacy;
+  /// Wire encoding of the network under test (DESIGN.md section 16). Runs
+  /// are uncharged: every frame costs the full notification service time,
+  /// so both encodings share one event timeline and the run digest doubles
+  /// as a byte-exact codec round-trip check over the whole fault schedule
+  /// (DeltaV2 with its default compact timestamps). `speedlight_fuzz --digest`
+  /// twin-runs DeltaV2 against FullV2 as the codec-equivalence oracle;
+  /// FullV2 (the default) is the paper-faithful reference.
+  snap::WireEncoding wire = snap::WireEncoding::FullV2;
 
   /// Self-test: deliberately break the conservation checker (drop the
   /// channel-state term) to prove the find-and-shrink loop works.

@@ -54,11 +54,8 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.ecn_threshold = options_.ecn_threshold;
     so.per_instance_metrics = s <= options_.per_instance_metrics_limit;
     so.control = options_.control;
-    if (options_.wire_fast_path) {
-      so.wire_enabled = true;
-      so.wire = options_.wire;
-      so.wire_stats = &wire_stats_;
-    }
+    so.wire = options_.wire;
+    so.wire_stats = &wire_stats_;
     switches_.emplace_back(sim_, static_cast<net::NodeId>(i),
                            spec_.switches[i].name, timing_, so,
                            master.fork("switch" + std::to_string(i)));
@@ -161,17 +158,13 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
 
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
-  // The observer's snapshot config always mirrors the data plane's, and
-  // its wire setup mirrors the network-level fast-path switches; the rest
-  // (completion timeout, report retention, assembly shards) is taken from
-  // the caller's observer options.
+  // The observer's snapshot config and wire format always mirror the
+  // network's; the rest (completion timeout, report retention) is taken
+  // from the caller's observer options.
   snap::Observer::Options obs_options = options_.observer;
   obs_options.snapshot = options_.snapshot;
-  if (options_.wire_fast_path) {
-    obs_options.wire_reports = true;
-    obs_options.wire = options_.wire;
-    obs_options.wire_stats = &wire_stats_;
-  }
+  obs_options.wire = options_.wire;
+  obs_options.wire_stats = &wire_stats_;
   observer_ =
       std::make_unique<snap::Observer>(sim_, timing_, std::move(obs_options));
   poller_ = std::make_unique<poll::PollingObserver>(sim_, timing_,
@@ -190,31 +183,29 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
   }
   if (options_.start_ptp) ptp_->start();
 
-  if (options_.wire_fast_path) {
-    // Fabric-wide wire accounting (satellite of the v2 fast path): byte
-    // counters split by frame family plus the fallback/drop diagnostics.
-    using obs::MetricKind;
-    auto& reg = sim_.metrics();
-    const snap::WireStats& ws = wire_stats_;
-    reg.register_reader("wire.notification_bytes", MetricKind::Counter,
-                        [&ws] { return ws.notification_bytes; });
-    reg.register_reader("wire.report_bytes", MetricKind::Counter,
-                        [&ws] { return ws.report_bytes; });
-    reg.register_reader("wire.keyframe_bytes", MetricKind::Counter,
-                        [&ws] { return ws.keyframe_bytes; });
-    reg.register_reader("wire.delta_bytes", MetricKind::Counter,
-                        [&ws] { return ws.delta_bytes; });
-    reg.register_reader("wire.notifications_encoded", MetricKind::Counter,
-                        [&ws] { return ws.notifications_encoded; });
-    reg.register_reader("wire.reports_encoded", MetricKind::Counter,
-                        [&ws] { return ws.reports_encoded; });
-    reg.register_reader("wire.ts_fallbacks", MetricKind::Counter,
-                        [&ws] { return ws.ts_fallbacks; });
-    reg.register_reader("wire.stale_session_drops", MetricKind::Counter,
-                        [&ws] { return ws.stale_session_drops; });
-    reg.register_reader("wire.decode_failures", MetricKind::Counter,
-                        [&ws] { return ws.decode_failures; });
-  }
+  // Fabric-wide wire accounting: byte counters split by frame family plus
+  // the fallback/drop diagnostics.
+  using obs::MetricKind;
+  auto& reg = sim_.metrics();
+  const snap::WireStats& ws = wire_stats_;
+  reg.register_reader("wire.notification_bytes", MetricKind::Counter,
+                      [&ws] { return ws.notification_bytes; });
+  reg.register_reader("wire.report_bytes", MetricKind::Counter,
+                      [&ws] { return ws.report_bytes; });
+  reg.register_reader("wire.keyframe_bytes", MetricKind::Counter,
+                      [&ws] { return ws.keyframe_bytes; });
+  reg.register_reader("wire.delta_bytes", MetricKind::Counter,
+                      [&ws] { return ws.delta_bytes; });
+  reg.register_reader("wire.notifications_encoded", MetricKind::Counter,
+                      [&ws] { return ws.notifications_encoded; });
+  reg.register_reader("wire.reports_encoded", MetricKind::Counter,
+                      [&ws] { return ws.reports_encoded; });
+  reg.register_reader("wire.ts_fallbacks", MetricKind::Counter,
+                      [&ws] { return ws.ts_fallbacks; });
+  reg.register_reader("wire.stale_session_drops", MetricKind::Counter,
+                      [&ws] { return ws.stale_session_drops; });
+  reg.register_reader("wire.decode_failures", MetricKind::Counter,
+                      [&ws] { return ws.decode_failures; });
 }
 
 Network::~Network() = default;

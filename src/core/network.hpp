@@ -54,14 +54,11 @@ struct NetworkOptions {
   sim::Duration fabric_delay = sim::nsec(400);
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
-  /// Control-plane wire fast path (DESIGN.md section 16): notifications and
-  /// unit reports cross process boundaries as v2-encoded frames, service
-  /// time scales with frame size, and the observer assembles from per-link
-  /// decoders. Off (default) preserves the exact v1 struct-shipping model.
-  bool wire_fast_path = false;
-  /// Wire encoding knobs, meaningful with wire_fast_path. The `wire.*`
-  /// metrics series (notification/report/keyframe/delta bytes, fallback and
-  /// drop counters) register when the fast path is on.
+  /// Control-plane wire format (DESIGN.md section 16): notifications and
+  /// unit reports cross process boundaries as encoded frames, service time
+  /// scales with frame size, and the observer assembles from per-link
+  /// decoders. The `wire.*` metrics series counts the bytes (notification/
+  /// report/keyframe/delta) and the fallback and drop diagnostics.
   snap::WireOptions wire;
 
   /// Enable In-band Network Telemetry on all switches.
@@ -163,7 +160,7 @@ class Network {
   [[nodiscard]] snap::PtpService& ptp() { return *ptp_; }
   [[nodiscard]] const NetworkOptions& options() const { return options_; }
 
-  /// Fabric-wide wire accounting (all zeros unless wire_fast_path).
+  /// Fabric-wide wire accounting.
   [[nodiscard]] snap::WireStats wire_stats_total() const {
     return wire_stats_;
   }

@@ -42,7 +42,8 @@ void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask)
   state.completion_mask = std::move(completion_mask);
   unit_index_[unit->unit_id()] = units_.size();
   units_.push_back(std::move(state));
-  if (frame_fn_ != nullptr) report_enc_.add_unit(unit->unit_id());
+  report_enc_.add_unit(unit->unit_id());
+  if (report_) sink_dec_.add_unit(unit->unit_id());
 }
 
 std::vector<net::UnitId> ControlPlane::unit_ids() const {
@@ -322,9 +323,22 @@ void ControlPlane::set_report_link(void* ctx, ReportFrameFn fn,
   frame_fn_ = fn;
   frame_dev_index_ = dev_index;
   report_enc_.configure(opts, timing_.observer_rpc_latency, stats);
-  // Pre-create every baseline slot so encoding never allocates on the ship
-  // path (the data-path allocation guard watches it).
-  for (const auto& u : units_) report_enc_.add_unit(u.handle->unit_id());
+}
+
+void ControlPlane::set_report_sink(ReportSink sink) {
+  report_ = std::move(sink);
+  const WireOptions opts;
+  sink_dec_.configure(opts, device_, nullptr);
+  for (const auto& u : units_) sink_dec_.add_unit(u.handle->unit_id());
+  set_report_link(this, &ControlPlane::sink_frame_thunk, 0, opts, nullptr);
+}
+
+void ControlPlane::sink_frame_thunk(void* ctx, std::uint16_t /*dev_index*/,
+                                    const std::uint8_t* bytes,
+                                    std::uint8_t len) {
+  auto* cp = static_cast<ControlPlane*>(ctx);
+  const auto r = cp->sink_dec_.decode({bytes, len}, cp->sim_.now());
+  if (r) cp->report_(*r);
 }
 
 void ControlPlane::set_report_scope(std::vector<bool> relevant) {
@@ -351,37 +365,28 @@ void ControlPlane::ship(const UnitReport& r) {
   ++reports_sent_;
   sim_.tracer().instant(obs::Category::ControlPlane, obs::EventName::CpReport,
                         track_, sim_.now(), r.sid, obs::pack_unit(r.unit));
-  if (frame_fn_ != nullptr) {
-    // v2 link: encode here (the encoder is stateful per link), ship bytes.
-    // The closure is sized to the inline event capture: fn(8) + ctx(8) +
-    // dev(2) + len(1) + frame(45) = 64 bytes.
-    struct Shipment {
-      ReportFrameFn fn;
-      void* ctx;
-      std::uint16_t dev;
-      std::uint8_t len;
-      std::array<std::uint8_t, kMaxReportFrameBytes> bytes;
-      void operator()() const { fn(ctx, dev, bytes.data(), len); }
-    };
-    Shipment s;
-    s.fn = frame_fn_;
-    s.ctx = frame_ctx_;
-    s.dev = frame_dev_index_;
-    s.len = static_cast<std::uint8_t>(
-        report_enc_.encode(r, sim_.now(), s.bytes.data()));
-    if (report_ep_.wired()) {
-      report_ep_.post(sim_.now() + timing_.observer_rpc_latency, s);
-    } else {
-      sim_.after(timing_.observer_rpc_latency, s);
-    }
-    return;
-  }
-  if (!report_) return;
+  if (frame_fn_ == nullptr) return;
+  // Encode here (the encoder is stateful per link) and ship bytes. The
+  // closure is sized to the inline event capture: fn(8) + ctx(8) + dev(2) +
+  // len(1) + frame(45) = 64 bytes.
+  struct Shipment {
+    ReportFrameFn fn;
+    void* ctx;
+    std::uint16_t dev;
+    std::uint8_t len;
+    std::array<std::uint8_t, kMaxReportFrameBytes> bytes;
+    void operator()() const { fn(ctx, dev, bytes.data(), len); }
+  };
+  Shipment s;
+  s.fn = frame_fn_;
+  s.ctx = frame_ctx_;
+  s.dev = frame_dev_index_;
+  s.len = static_cast<std::uint8_t>(
+      report_enc_.encode(r, sim_.now(), s.bytes.data()));
   if (report_ep_.wired()) {
-    report_ep_.post(sim_.now() + timing_.observer_rpc_latency,
-                    [this, r]() { report_(r); });
+    report_ep_.post(sim_.now() + timing_.observer_rpc_latency, s);
   } else {
-    sim_.after(timing_.observer_rpc_latency, [this, r]() { report_(r); });
+    sim_.after(timing_.observer_rpc_latency, s);
   }
 }
 

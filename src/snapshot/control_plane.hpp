@@ -71,21 +71,24 @@ class ControlPlane {
   /// removal of non-utilized upstream neighbors").
   void add_unit(UnitHandle* unit, std::vector<bool> completion_mask);
 
-  void set_report_sink(ReportSink sink) { report_ = std::move(sink); }
-
   /// Receiver of encoded report frames (the observer side of the report
   /// RPC). A plain function pointer + context keeps the shipped closure
   /// within the inline event capture.
   using ReportFrameFn = void (*)(void* ctx, std::uint16_t dev_index,
                                  const std::uint8_t* bytes, std::uint8_t len);
 
-  /// Wire-format v2 report link (DESIGN.md section 16): ship() encodes each
-  /// report through a stateful per-link delta encoder and posts the byte
-  /// frame to `fn` instead of the legacy struct sink. `dev_index` is the
-  /// observer's dense index for this device (frames do not carry node ids).
-  /// Replaces the set_report_sink() path entirely once set.
+  /// The report link (DESIGN.md section 16): ship() encodes each report
+  /// through a stateful per-link delta encoder and posts the byte frame to
+  /// `fn`. `dev_index` is the receiver's dense index for this device
+  /// (frames do not carry node ids); `stats` may be null. Until a link is
+  /// set, shipped reports are counted and dropped.
   void set_report_link(void* ctx, ReportFrameFn fn, std::uint16_t dev_index,
                        const WireOptions& opts, WireStats* stats);
+
+  /// Receive this device's reports as structs (tests, benchmarks): sets the
+  /// report link to a control-plane-owned decoder (default wire options)
+  /// that hands every decoded report to `sink`.
+  void set_report_sink(ReportSink sink);
 
   /// Sync-group membership (per local unit index, unit_ids() order): ship()
   /// drops reports for units outside the observer's scope. An empty vector
@@ -162,6 +165,8 @@ class ControlPlane {
   void read_and_report(UnitState& u, VirtualSid sid, sim::SimTime finalize_ts);
   void report_inconsistent(UnitState& u, VirtualSid sid);
   void ship(const UnitReport& r);
+  static void sink_frame_thunk(void* ctx, std::uint16_t dev_index,
+                               const std::uint8_t* bytes, std::uint8_t len);
   void register_poll_tick();
   [[nodiscard]] bool locally_complete(VirtualSid id) const;
 
@@ -176,14 +181,16 @@ class ControlPlane {
 
   std::vector<UnitState> units_;
   std::unordered_map<net::UnitId, std::size_t> unit_index_;
-  ReportSink report_;
   sim::Endpoint report_ep_;
 
-  // --- v2 report link (null fn = legacy struct sink) -----------------------
+  // --- Report link (null fn = no receiver yet) -----------------------------
   ReportFrameFn frame_fn_ = nullptr;
   void* frame_ctx_ = nullptr;
   std::uint16_t frame_dev_index_ = 0;
   ReportEncoder report_enc_;
+  /// set_report_sink(): the local receiving end of the link.
+  ReportSink report_;
+  ReportDecoder sink_dec_;
   /// Sync-group relevancy by local unit index; empty = all relevant.
   std::vector<bool> scope_;
 

@@ -1,18 +1,14 @@
 // The data plane -> CPU notification path (Section 7.2: DMA into a raw
 // socket, drained by the control-plane event loop).
 //
-// Model: a notification leaves the ASIC, crosses PCIe (fixed latency), and
-// lands in a bounded socket buffer. The control-plane process drains the
-// buffer one notification at a time, each taking `notification_service_time`
-// (the bottleneck behind Figure 10). Overflow and random loss drop
+// Model: a notification leaves the ASIC as an encoded wire frame (DESIGN.md
+// section 16), crosses PCIe (fixed latency), and lands in a bounded socket
+// buffer. The control-plane process drains the buffer one frame at a time,
+// decoding it (compact timestamps recover against the buffered arrival
+// time); each costs `notification_service_time`, scaled by the frame size
+// when charging bytes (the bottleneck behind Figure 10, and where the delta
+// encoding's rate win comes from). Overflow and random loss drop
 // notifications — the protocol must tolerate this (Section 6, liveness).
-//
-// With configure_wire() the channel additionally models the v2 wire format
-// (DESIGN.md section 16): push() encodes the notification into a byte frame,
-// the frame crosses PCIe and queues in the socket buffer, drain() decodes it
-// (compact timestamps recover against the buffered arrival time), and — when
-// charging bytes — the per-notification service cost scales with the frame
-// size, which is where the delta encoding's Figure 10 rate win comes from.
 #pragma once
 
 #include <array>
@@ -31,9 +27,16 @@ namespace speedlight::snap {
 
 class NotificationChannel final : public NotificationTransport {
  public:
+  /// `device` owns the channel; `stats` (may be null) counts the wire bytes.
   NotificationChannel(sim::Simulator& sim, const sim::TimingModel& timing,
-                      sim::Rng rng, Sink sink)
-      : sim_(sim), timing_(timing), rng_(rng), sink_(std::move(sink)) {}
+                      sim::Rng rng, net::NodeId device,
+                      const WireOptions& wire, WireStats* stats, Sink sink)
+      : NotificationTransport(device, wire, stats,
+                              timing.notification_pcie_latency),
+        sim_(sim),
+        timing_(timing),
+        rng_(rng),
+        sink_(std::move(sink)) {}
 
   NotificationChannel(const NotificationChannel&) = delete;
   NotificationChannel& operator=(const NotificationChannel&) = delete;
@@ -65,43 +68,28 @@ class NotificationChannel final : public NotificationTransport {
   void register_metrics(obs::MetricsRegistry& reg,
                         const std::string& prefix) override;
 
-  void configure_wire(net::NodeId device, const WireOptions& opts,
-                      WireStats* stats) override;
-
  private:
-  /// A buffered notification plus its socket-buffer arrival time, so
-  /// delivery can record how long it waited (queue delay + service). Wire
-  /// mode buffers the encoded frame instead of the struct; `arrived` doubles
+  /// An encoded frame plus its socket-buffer arrival time, so delivery can
+  /// record how long it waited (queue delay + service); `arrived` doubles
   /// as the compact-timestamp recovery reference (the kernel's arrival
-  /// timestamp on the raw socket).
+  /// timestamp on the raw socket). The same record crosses PCIe with
+  /// `arrived` unset (it fits the inline event capture).
   struct Queued {
-    Notification n;
+    std::array<std::uint8_t, kMaxNotificationFrameBytes> frame{};
+    std::uint8_t len = 0;
     sim::SimTime arrived = 0;
-    std::uint8_t len = 0;
-    std::array<std::uint8_t, kMaxNotificationFrameBytes> frame;
   };
 
-  /// An encoded frame in PCIe flight (fits the inline event capture).
-  struct Frame {
-    std::array<std::uint8_t, kMaxNotificationFrameBytes> bytes;
-    std::uint8_t len = 0;
-  };
-
-  void arrive(const Notification& n);
-  void arrive_frame(const Frame& f);
+  void arrive(Queued q);
   void drain();
-  [[nodiscard]] sim::Duration service_of(const Queued& q) const;
+  [[nodiscard]] sim::Duration service_of(const Queued& q) const {
+    return service_cost(timing_.notification_service_time, q.len);
+  }
 
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
   sim::Rng rng_;
   Sink sink_;
-
-  bool wire_on_ = false;
-  net::NodeId wire_device_ = net::kInvalidNode;
-  WireOptions wire_opts_;
-  WireStats* wire_stats_ = nullptr;
-  NotificationCodec codec_;
 
   std::deque<Queued> buffer_;
   std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.

@@ -12,11 +12,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "net/types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/time.hpp"
 #include "snapshot/notification.hpp"
 #include "snapshot/wire.hpp"
 
@@ -83,22 +86,54 @@ class NotificationTransport {
     track_ = track;
   }
 
-  /// Switch the transport to the v2 wire model (DESIGN.md section 16):
-  /// notifications are encoded at push, cross as byte frames, are decoded
-  /// on delivery, and — when `opts.charge_bytes` — service time scales with
-  /// frame size. Unconfigured transports keep the exact v1 fixed-cost
-  /// behaviour (unit-test fixtures rely on it). `device` owns the channel
-  /// (frames do not carry the node id); `stats` may be null.
-  virtual void configure_wire(net::NodeId device, const WireOptions& opts,
-                              WireStats* stats) {
-    (void)device;
-    (void)opts;
-    (void)stats;
+ protected:
+  /// Every transport speaks the wire format (DESIGN.md section 16):
+  /// notifications are encoded at push, cross as byte frames, and are
+  /// decoded on delivery; with `wire.charge_bytes` service time scales with
+  /// frame size. `device` owns the channel (frames do not carry the node
+  /// id); `transit_latency` is the sender->receiver delay the compact
+  /// timestamps must clear; `stats` may be null.
+  NotificationTransport(net::NodeId device, const WireOptions& wire,
+                        WireStats* stats, sim::Duration transit_latency)
+      : device_(device),
+        wire_(wire),
+        stats_(stats),
+        codec_(wire, transit_latency) {}
+
+  /// Encode `n` into `out` (>= kMaxNotificationFrameBytes) and count its
+  /// bytes. Returns the frame length.
+  std::uint8_t encode(const Notification& n, std::uint8_t* out) {
+    const auto len = static_cast<std::uint8_t>(codec_.encode(n, out));
+    if (stats_ != nullptr) {
+      stats_->notification_bytes += len;
+      ++stats_->notifications_encoded;
+    }
+    return len;
   }
 
- protected:
+  /// Decode a frame against the receiver-side `arrival` time; a malformed
+  /// frame counts a decode failure and yields nullopt.
+  [[nodiscard]] std::optional<Notification> decode(
+      std::span<const std::uint8_t> frame, sim::SimTime arrival) {
+    auto n = codec_.decode(frame, device_, arrival);
+    if (!n && stats_ != nullptr) ++stats_->decode_failures;
+    return n;
+  }
+
+  /// Service cost of a `len`-byte frame whose full-size price is `full`.
+  [[nodiscard]] sim::Duration service_cost(sim::Duration full,
+                                           std::size_t len) const {
+    return wire_.charge_bytes ? wire_service_cost(full, len) : full;
+  }
+
   obs::Tracer* tracer_ = nullptr;  // null until attach_observability()
   std::uint64_t track_ = 0;
+
+ private:
+  net::NodeId device_;
+  WireOptions wire_;
+  WireStats* stats_;
+  NotificationCodec codec_;
 };
 
 enum class NotificationMode : std::uint8_t {

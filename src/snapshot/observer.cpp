@@ -33,12 +33,7 @@ bool GlobalSnapshot::all_consistent() const {
 
 std::size_t GlobalSnapshot::consistent_count() const {
   std::size_t n = 0;
-  for (const auto& shard : digests) {
-    for (const auto& [device, d] : shard) {
-      (void)device;
-      n += d.consistent;
-    }
-  }
+  for (const auto& [device, d] : digests) n += d.consistent;
   return n;
 }
 
@@ -48,12 +43,9 @@ sim::Duration span_of(const GlobalSnapshot& snap,
                       sim::SimTime DeviceDigest::* hi_field) {
   sim::SimTime lo = 0;
   sim::SimTime hi = 0;
-  for (const auto& shard : snap.digests) {
-    for (const auto& [device, d] : shard) {
-      (void)device;
-      fold_extrema(d.*lo_field, lo, hi);
-      fold_extrema(d.*hi_field, lo, hi);
-    }
+  for (const auto& [device, d] : snap.digests) {
+    fold_extrema(d.*lo_field, lo, hi);
+    fold_extrema(d.*hi_field, lo, hi);
   }
   return hi - lo;  // Both zero when nothing was recorded.
 }
@@ -70,33 +62,24 @@ sim::Duration GlobalSnapshot::finalize_span() const {
 
 sim::SimTime GlobalSnapshot::latest_advance() const {
   sim::SimTime latest = 0;
-  for (const auto& shard : digests) {
-    for (const auto& [device, d] : shard) {
-      (void)device;
-      latest = std::max(latest, d.advance_max);
-    }
+  for (const auto& [device, d] : digests) {
+    latest = std::max(latest, d.advance_max);
   }
   return latest;
 }
 
 std::uint64_t GlobalSnapshot::total_value(bool include_channel) const {
   std::uint64_t total = 0;
-  for (const auto& shard : digests) {
-    for (const auto& [device, d] : shard) {
-      (void)device;
-      total += d.local_sum;
-      if (include_channel) total += d.channel_sum;
-    }
+  for (const auto& [device, d] : digests) {
+    total += d.local_sum;
+    if (include_channel) total += d.channel_sum;
   }
   return total;
 }
 
 const DeviceDigest* GlobalSnapshot::digest(net::NodeId device) const {
-  for (const auto& shard : digests) {
-    const auto it = shard.find(device);
-    if (it != shard.end()) return &it->second;
-  }
-  return nullptr;
+  const auto it = digests.find(device);
+  return it == digests.end() ? nullptr : &it->second;
 }
 
 Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
@@ -135,17 +118,12 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   dev.first_unit_index = total_units_;
   dev.relevant_units = dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
-  device_index_[cp->device()] = dev_index;
   for (const auto& u : dev.units) unit_index_[u] = total_units_++;
-  if (options_.wire_reports) {
-    dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
-    for (const auto& u : dev.units) dev.decoder.add_unit(u);
-    dev.decoder.begin_session(session_);
-    cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
-                        options_.wire, options_.wire_stats);
-  } else {
-    cp->set_report_sink([this](const UnitReport& r) { on_report(r); });
-  }
+  dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
+  for (const auto& u : dev.units) dev.decoder.add_unit(u);
+  dev.decoder.begin_session(session_);
+  cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
+                      options_.wire, options_.wire_stats);
   devices_.push_back(std::move(dev));
 }
 
@@ -169,16 +147,14 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   GlobalSnapshot& snap = snapshots_[id];
   snap.id = id;
   snap.scheduled_at = when;
-  snap.digests.resize(std::max<std::uint32_t>(options_.assembly_shards, 1));
   snap.seen.assign(total_units_, false);
   // Pin the device set (and the sync-group membership): late-attached
   // devices are not part of this snapshot (Section 6, "Node attachment").
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const Device& dev = devices_[i];
+  for (const Device& dev : devices_) {
     snap.expected_devices[dev.cp->device()] = dev.relevant_units;
     DeviceDigest d;
     d.expected = dev.relevant_units;
-    snap.digests[i % snap.digests.size()].emplace(dev.cp->device(), d);
+    snap.digests.emplace(dev.cp->device(), d);
     snap.expected_total += dev.relevant_units;
   }
 
@@ -242,18 +218,16 @@ void Observer::set_down(bool down) {
     // In-flight frames from the old session are self-identifying and get
     // dropped at decode — under every encoding alike.
     ++session_;
-    if (options_.wire_reports) {
-      for (auto& dev : devices_) {
-        dev.decoder.begin_session(session_);
-        ControlPlane* cp = dev.cp;
-        const std::uint8_t s = session_;
-        if (dev.rpc.wired()) {
-          dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                       [cp, s]() { cp->on_observer_session(s); });
-        } else {
-          sim_.after(timing_.observer_rpc_latency,
+    for (auto& dev : devices_) {
+      dev.decoder.begin_session(session_);
+      ControlPlane* cp = dev.cp;
+      const std::uint8_t s = session_;
+      if (dev.rpc.wired()) {
+        dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
                      [cp, s]() { cp->on_observer_session(s); });
-        }
+      } else {
+        sim_.after(timing_.observer_rpc_latency,
+                   [cp, s]() { cp->on_observer_session(s); });
       }
     }
   }
@@ -275,10 +249,6 @@ void Observer::on_report_frame(std::uint16_t dev_index,
 }
 
 void Observer::on_report(const UnitReport& r) {
-  if (down_) {
-    ++reports_dropped_while_down_;
-    return;
-  }
   const auto gi = unit_index_.find(r.unit);
   if (gi == unit_index_.end()) return;
   if (!relevant_.empty() &&
@@ -289,11 +259,8 @@ void Observer::on_report(const UnitReport& r) {
   if (it == snapshots_.end()) return;  // Spurious (e.g. newly attached node).
   GlobalSnapshot& snap = it->second;
   if (snap.complete) return;  // Device timed out; drop stragglers.
-  const auto di = device_index_.find(r.device);
-  if (di == device_index_.end()) return;
-  auto& shard = snap.digests[di->second % snap.digests.size()];
-  const auto dd = shard.find(r.device);
-  if (dd == shard.end()) {
+  const auto dd = snap.digests.find(r.device);
+  if (dd == snap.digests.end()) {
     // Attached after this snapshot was requested, or excluded: spurious.
     return;
   }
@@ -339,16 +306,13 @@ void Observer::timeout_snapshot(VirtualSid id) {
   // Exclude every expected device that has not delivered all its units:
   // its digest (and any retained partial reports) leave the snapshot.
   for (const auto& dev : devices_) {
-    const auto di = device_index_.find(dev.cp->device());
-    if (di == device_index_.end()) continue;
-    auto& shard = snap.digests[di->second % snap.digests.size()];
-    const auto dd = shard.find(dev.cp->device());
-    if (dd == shard.end()) continue;  // Not part of this snapshot.
+    const auto dd = snap.digests.find(dev.cp->device());
+    if (dd == snap.digests.end()) continue;  // Not part of this snapshot.
     if (dd->second.received >= dd->second.expected) continue;
     snap.excluded_devices.push_back(dev.cp->device());
     snap.expected_total -= dd->second.expected;
     snap.received_total -= dd->second.received;
-    shard.erase(dd);
+    snap.digests.erase(dd);
     if (options_.retain_unit_reports) {
       for (const auto& u : dev.units) snap.reports.erase(u);
     }

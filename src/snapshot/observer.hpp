@@ -9,9 +9,7 @@
 // assembly state is O(devices), not O(units). Retaining the raw per-unit
 // reports is optional (`retain_unit_reports`, on by default for the audit
 // tooling and tests); large-fabric runs turn it off and read everything
-// through the digests. Digest maps are partitioned into `assembly_shards`
-// buckets by device index, modelling assembly spread across observer
-// instances.
+// through the digests.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +56,8 @@ struct GlobalSnapshot {
   /// Populated only when the observer retains unit reports; the aggregate
   /// getters below never need it.
   std::unordered_map<net::UnitId, UnitReport> reports;
-  /// Streaming assembly state, one digest per expected device, partitioned
-  /// across assembly shards by device index.
-  std::vector<std::unordered_map<net::NodeId, DeviceDigest>> digests;
+  /// Streaming assembly state, one digest per expected device.
+  std::unordered_map<net::NodeId, DeviceDigest> digests;
   std::size_t expected_total = 0;  ///< Relevant units over non-excluded devices.
   std::size_t received_total = 0;
   std::vector<net::NodeId> excluded_devices;
@@ -106,10 +103,8 @@ class Observer {
     /// Devices missing reports this long after the scheduled fire time are
     /// excluded from the global snapshot.
     sim::Duration completion_timeout = sim::msec(100);
-    /// Ship reports over the v2 wire link (encoded frames + per-link
-    /// decoder) instead of the legacy struct sink.
-    bool wire_reports = false;
-    /// Wire format for the report links (meaningful with wire_reports).
+    /// Wire format of the report links (encoded frames, one decoder per
+    /// device).
     WireOptions wire;
     /// Fabric-wide wire accounting sink shared by the report links; may be
     /// null.
@@ -117,8 +112,6 @@ class Observer {
     /// Keep per-unit reports in GlobalSnapshot::reports. Off = digests
     /// only: O(devices) assembly memory per round.
     bool retain_unit_reports = true;
-    /// Digest-map partitions per round (modelled observer instances).
-    std::uint32_t assembly_shards = 1;
   };
 
   Observer(sim::Simulator& sim, const sim::TimingModel& timing, Options options);
@@ -126,8 +119,8 @@ class Observer {
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
 
-  /// Register a device; wires the control plane's report path (wire link or
-  /// legacy struct sink) to this observer. May be called at any time
+  /// Register a device; wires the control plane's report link to this
+  /// observer. May be called at any time
   /// (Section 6, "Node attachment"): snapshots already outstanding keep
   /// their original device set, and the new device participates from the
   /// next request on.
@@ -189,7 +182,7 @@ class Observer {
     std::size_t first_unit_index = 0;  ///< Global index of units[0].
     std::size_t relevant_units = 0;    ///< In-scope units (== units.size()
                                        ///< without a sync-group filter).
-    ReportDecoder decoder;             ///< v2 report-link state (wire mode).
+    ReportDecoder decoder;             ///< Report-link receiving end.
   };
 
   static void report_frame_thunk(void* ctx, std::uint16_t dev_index,
@@ -210,7 +203,6 @@ class Observer {
   std::size_t total_units_ = 0;
   /// Global unit index (dedup bitset coordinate space).
   std::unordered_map<net::UnitId, std::size_t> unit_index_;
-  std::unordered_map<net::NodeId, std::uint16_t> device_index_;
   /// Sync-group relevancy by global unit index; empty = everything.
   std::vector<bool> relevant_;
 

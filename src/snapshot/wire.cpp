@@ -230,19 +230,22 @@ void ReportEncoder::configure(const WireOptions& opts,
   stats_ = stats;
 }
 
-void ReportEncoder::add_unit(const net::UnitId& unit) { base_[unit]; }
+void ReportEncoder::add_unit(const net::UnitId& unit) {
+  const std::size_t slot = unit_slot(unit);
+  if (slot >= base_.size()) base_.resize(slot + 1);
+}
 
 void ReportEncoder::begin_session(std::uint8_t session) {
   session_ = session;
   have_last_sid_ = false;
-  for (auto& [unit, base] : base_) {
+  for (auto& base : base_) {
     base.valid = false;
     base.since_keyframe = 0;
   }
 }
 
 void ReportEncoder::force_keyframes() {
-  for (auto& [unit, base] : base_) base.valid = false;
+  for (auto& base : base_) base.valid = false;
 }
 
 std::size_t ReportEncoder::encode_keyframe(const UnitReport& r,
@@ -318,9 +321,8 @@ std::size_t ReportEncoder::encode(const UnitReport& r, sim::SimTime now,
     put_fixed(static_cast<std::uint64_t>(r.advance_time), out + 36, 8);
     len = kFullReportBytes;
   } else {
-    auto it = base_.find(r.unit);
-    if (it == base_.end()) it = base_.emplace(r.unit, Base{}).first;
-    Base& base = it->second;
+    add_unit(r.unit);  // No-op for registered units.
+    Base& base = base_[unit_slot(r.unit)];
 
     if (!base.valid || !have_last_sid_ ||
         base.since_keyframe + 1 >= kReportKeyframeInterval) {
@@ -418,23 +420,28 @@ void ReportDecoder::configure(const WireOptions& opts, net::NodeId device,
   stats_ = stats;
 }
 
-void ReportDecoder::add_unit(const net::UnitId& unit) { base_[unit]; }
+void ReportDecoder::add_unit(const net::UnitId& unit) {
+  const std::size_t slot = unit_slot(unit);
+  if (slot >= base_.size()) base_.resize(slot + 1);
+  base_[slot].registered = true;
+}
 
 void ReportDecoder::begin_session(std::uint8_t session) {
   session_ = session;
   have_last_sid_ = false;
-  for (auto& [unit, base] : base_) base.valid = false;
+  for (auto& base : base_) base.valid = false;
 }
 
 std::optional<UnitReport> ReportDecoder::decode(
     std::span<const std::uint8_t> bytes, sim::SimTime arrival) {
+  const auto fail = [this]() -> std::optional<UnitReport> {
+    if (stats_ != nullptr) ++stats_->decode_failures;
+    return std::nullopt;
+  };
   Reader rd{bytes};
   const std::uint8_t flags = rd.u8();
   const std::uint8_t session = rd.u8();
-  if (!rd.ok) {
-    if (stats_ != nullptr) ++stats_->decode_failures;
-    return std::nullopt;
-  }
+  if (!rd.ok) return fail();
   if (session != session_) {
     // In-flight frame from before an observer restart: the encoder state it
     // was built against is gone. Drop without touching reconstruction state;
@@ -451,26 +458,26 @@ std::optional<UnitReport> ReportDecoder::decode(
   r.consistent = (flags & kRfConsistent) != 0;
   r.inferred = (flags & kRfInferred) != 0;
 
-  if (opts_.encoding == WireEncoding::FullV2) {
-    r.unit.port = static_cast<net::PortId>(rd.fixed(2));
+  const bool full = opts_.encoding == WireEncoding::FullV2;
+  r.unit.port = static_cast<net::PortId>(full ? rd.fixed(2) : rd.varint());
+  const std::size_t slot = unit_slot(r.unit);
+  if (!rd.ok || slot >= base_.size() || !base_[slot].registered) {
+    // A unit this link never registered: a corrupt frame, not a new unit.
+    return fail();
+  }
+
+  if (full) {
     r.sid = rd.fixed(8);
     r.local_value = rd.fixed(8);
     r.channel_value = rd.fixed(8);
     r.finalize_time = static_cast<sim::SimTime>(rd.fixed(8));
     r.advance_time = static_cast<sim::SimTime>(rd.fixed(8));
-    if (!rd.ok || rd.pos != kFullReportBytes) {
-      if (stats_ != nullptr) ++stats_->decode_failures;
-      return std::nullopt;
-    }
+    if (!rd.ok || rd.pos != kFullReportBytes) return fail();
     return r;
   }
 
-  r.unit.port = static_cast<net::PortId>(rd.varint());
   const bool keyframe = (flags & kRfKeyframe) != 0;
-
-  auto it = base_.find(r.unit);
-  if (it == base_.end()) it = base_.emplace(r.unit, Base{}).first;
-  Base& base = it->second;
+  Base& base = base_[slot];
 
   if (keyframe) {
     r.sid = rd.fixed(8);
@@ -481,8 +488,7 @@ std::optional<UnitReport> ReportDecoder::decode(
       // Baseline loss (should not happen within a session — the report RPC
       // is ordered and loss-free — but a dropped frame must never cascade
       // into wrong values). Recovery: the periodic keyframe re-anchors.
-      if (stats_ != nullptr) ++stats_->decode_failures;
-      return std::nullopt;
+      return fail();
     }
     r.sid = last_sid_ + static_cast<std::uint64_t>(
                             zigzag_decode(rd.varint()));
@@ -508,10 +514,7 @@ std::optional<UnitReport> ReportDecoder::decode(
     r.advance_time = r.finalize_time + zigzag_decode(rd.varint());
   }
 
-  if (!rd.ok || rd.pos != bytes.size()) {
-    if (stats_ != nullptr) ++stats_->decode_failures;
-    return std::nullopt;
-  }
+  if (!rd.ok || rd.pos != bytes.size()) return fail();
 
   base.local = r.local_value;
   base.channel = r.channel_value;

@@ -6,7 +6,9 @@
 //    the Figure 10 bottleneck; and
 //  * unit reports (control plane -> observer, over the report RPC).
 //
-// v1 shipped both as full structs. v2 adds a delta encoding:
+// Both always cross as encoded frames, in one of two encodings: FullV2, a
+// fixed layout that is the paper-faithful reference, or DeltaV2 (the
+// default):
 //
 //  * notifications: stateless per-message compression — varint port/sid,
 //    2-bit sid/last-seen advance codes with varint escape, and a 16-bit
@@ -37,7 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "net/snapshot_wire.hpp"
 #include "net/types.hpp"
@@ -49,11 +51,14 @@ namespace speedlight::snap {
 
 enum class WireEncoding : std::uint8_t {
   FullV2,   ///< Fixed-layout frames, 64-bit timestamps. Reference encoding.
-  DeltaV2,  ///< Delta/varint frames (the fast path).
+  DeltaV2,  ///< Delta/varint frames (the default).
 };
 
 /// Control-plane wire configuration, plumbed NetworkOptions -> SwitchOptions
 /// -> notification transport, and NetworkOptions -> Observer -> report links.
+/// The defaults are the protocol: DeltaV2 frames, compact timestamps,
+/// byte-charged service. FullV2 is the paper-faithful reference (a 29-byte
+/// frame costs exactly notification_service_time).
 struct WireOptions {
   WireEncoding encoding = WireEncoding::DeltaV2;
   /// Truncated timestamps (16-bit notifications / 24-bit reports) with
@@ -110,7 +115,7 @@ inline constexpr std::uint32_t kReportKeyframeInterval = 32;
 /// Fraction of notification_service_time that is fixed per-message overhead
 /// (interrupt + dispatch); the remainder scales linearly with the frame size
 /// relative to the full-encoding reference. Calibrated so a FullV2 frame
-/// costs exactly notification_service_time, preserving the v1 model.
+/// costs exactly notification_service_time (the paper-faithful model).
 inline constexpr double kFixedServiceFraction = 0.08;
 
 /// Byte-proportional service cost: full * (f + (1-f) * bytes / 29).
@@ -144,13 +149,20 @@ class NotificationCodec {
 
 // --- Report codec (per control-plane -> observer link) ------------------------
 
+/// Dense per-link baseline index of a unit: port * 2 + direction.
+[[nodiscard]] inline std::size_t unit_slot(const net::UnitId& unit) {
+  return std::size_t{unit.port} * 2 +
+         (unit.direction == net::Direction::Egress ? 1 : 0);
+}
+
 class ReportEncoder {
  public:
   void configure(const WireOptions& opts, sim::Duration rpc_latency,
                  WireStats* stats);
 
   /// Pre-create the baseline slot for `unit` so encoding never allocates on
-  /// the ship path (the data-path allocation guard watches it).
+  /// the ship path (the data-path allocation guard watches it). Slots are
+  /// dense, indexed by port * 2 + direction (one link = one device).
   void add_unit(const net::UnitId& unit);
 
   /// Observer restart announcement: adopt the new session, invalidate every
@@ -181,7 +193,7 @@ class ReportEncoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;  ///< Chain base: previous frame's sid on this link.
   bool have_last_sid_ = false;
-  std::unordered_map<net::UnitId, Base> base_;
+  std::vector<Base> base_;  ///< By unit_slot().
 };
 
 class ReportDecoder {
@@ -189,14 +201,15 @@ class ReportDecoder {
   void configure(const WireOptions& opts, net::NodeId device,
                  WireStats* stats);
 
+  /// Register `unit`; frames naming any other unit fail closed.
   void add_unit(const net::UnitId& unit);
 
   /// Restart: expect `session`, drop all reconstruction state.
   void begin_session(std::uint8_t session);
 
   /// Decode a frame arriving now. Returns nullopt (and counts why) for
-  /// stale-session frames, baseline-less delta frames, or malformed input —
-  /// never a wrong report.
+  /// stale-session frames, frames naming an unregistered unit,
+  /// baseline-less delta frames, or malformed input — never a wrong report.
   [[nodiscard]] std::optional<UnitReport> decode(
       std::span<const std::uint8_t> bytes, sim::SimTime arrival);
 
@@ -205,6 +218,7 @@ class ReportDecoder {
     std::uint64_t local = 0;
     std::uint64_t channel = 0;
     bool valid = false;
+    bool registered = false;
   };
 
   WireOptions opts_;
@@ -213,7 +227,7 @@ class ReportDecoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;
   bool have_last_sid_ = false;
-  std::unordered_map<net::UnitId, Base> base_;
+  std::vector<Base> base_;  ///< By unit_slot().
 };
 
 }  // namespace speedlight::snap

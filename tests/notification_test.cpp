@@ -12,6 +12,11 @@
 namespace speedlight::snap {
 namespace {
 
+/// FullV2 frames cost exactly the full service time (29 bytes is the
+/// reference size), so the fixtures below time against the bare
+/// TimingModel constants.
+const WireOptions kFullV2{.encoding = WireEncoding::FullV2};
+
 Notification make_notification(WireSid sid) {
   Notification n;
   n.unit = net::UnitId{0, 0, net::Direction::Ingress};
@@ -22,8 +27,8 @@ Notification make_notification(WireSid sid) {
 struct Fixture {
   explicit Fixture(sim::TimingModel tm = {})
       : timing(tm),
-        channel(sim, timing, sim::Rng(1),
-                [this](const Notification& n) {
+        channel(sim, timing, sim::Rng(1), /*device=*/0, kFullV2,
+                /*stats=*/nullptr, [this](const Notification& n) {
                   delivered.push_back({n.new_sid, sim.now()});
                 }) {}
 
@@ -107,8 +112,8 @@ TEST(NotificationChannel, SustainedOverloadBacklogGrows) {
 struct DigestFixture {
   explicit DigestFixture(sim::TimingModel tm = {})
       : timing(tm),
-        channel(sim, timing, sim::Rng(1),
-                [this](const Notification& n) {
+        channel(sim, timing, sim::Rng(1), /*device=*/0, kFullV2,
+                /*stats=*/nullptr, [this](const Notification& n) {
                   delivered.push_back({n.new_sid, sim.now()});
                 }) {}
 

@@ -19,6 +19,15 @@ namespace {
 using core::Network;
 using core::NetworkOptions;
 
+/// ASan's shadow memory and allocator quarantine are not the simulator's
+/// footprint, so the k=32 RSS budgets hold only in uninstrumented builds;
+/// its structural assertions run everywhere.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kRssBudgetsApply = false;
+#else
+constexpr bool kRssBudgetsApply = true;
+#endif
+
 TEST(Scale, FatTree6ChannelStateSnapshot) {
   // k=6 fat-tree: 45 switches, 54 hosts, 432 processing units.
   NetworkOptions opt;
@@ -202,7 +211,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_EQ(net.materialized_ports(), 0u);
   const std::int64_t rss_built =
       static_cast<std::int64_t>(obs::current_rss_kb());
-  if (rss_before > 0) {
+  if (kRssBudgetsApply && rss_before > 0) {
     EXPECT_LT(rss_built - rss_before, 128 * 1024)
         << "construction RSS growth (KiB) exceeds the k=32 budget";
   }
@@ -217,7 +226,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_EQ(net.materialized_ports(), 40960u);
   const std::int64_t rss_after =
       static_cast<std::int64_t>(obs::current_rss_kb());
-  if (rss_before > 0) {
+  if (kRssBudgetsApply && rss_before > 0) {
     EXPECT_LT(rss_after - rss_before, 512 * 1024)
         << "RSS growth (KiB) through a snapshot round exceeds the budget";
   }

@@ -6,9 +6,8 @@
 // committed corpus plus 100 fresh generated seeds.
 //
 // The same two inputs also pin down the observer's streaming assembly: a
-// snapshot campaign's results must not depend on how many assembly shards
-// (digest-map partitions, see snapshot/observer.hpp) the rounds are
-// folded into.
+// snapshot campaign folded into per-device digests (see
+// snapshot/observer.hpp) must assemble identically when run twice.
 //
 // Equality is asserted within one process run rather than against
 // absolute pinned constants: scenario generation draws from libm
@@ -98,15 +97,11 @@ struct RoundSummary {
   friend bool operator==(const RoundSummary&, const RoundSummary&) = default;
 };
 
-/// Build the scenario's fabric with its network options, observer folding
-/// into `assembly_shards` digest partitions; drive all-to-all traffic from
-/// the scenario's generator count, rate and packet size, and run a short
-/// snapshot campaign. Returns one summary per completed round.
-std::vector<RoundSummary> campaign_at(const check::Scenario& s,
-                                      std::uint32_t assembly_shards) {
-  core::NetworkOptions opt = s.network_options();
-  opt.observer.assembly_shards = assembly_shards;
-  core::Network net(s.topology(), opt);
+/// Build the scenario's fabric with its network options; drive all-to-all
+/// traffic from the scenario's generator count, rate and packet size, and
+/// run a short snapshot campaign. Returns one summary per completed round.
+std::vector<RoundSummary> campaign(const check::Scenario& s) {
+  core::Network net(s.topology(), s.network_options());
 
   std::vector<std::unique_ptr<wl::Generator>> gens;
   const std::size_t hosts = net.num_hosts();
@@ -122,11 +117,10 @@ std::vector<RoundSummary> campaign_at(const check::Scenario& s,
     gens.back()->start(net.now());
   }
   net.run_for(sim::msec(1));
-  const auto campaign = core::run_snapshot_campaign(net, 3, sim::msec(2));
+  const auto rounds = core::run_snapshot_campaign(net, 3, sim::msec(2));
 
   std::vector<RoundSummary> out;
-  for (const snap::GlobalSnapshot* g : campaign.results(net)) {
-    EXPECT_EQ(g->digests.size(), assembly_shards);
+  for (const snap::GlobalSnapshot* g : rounds.results(net)) {
     RoundSummary r;
     r.complete = g->complete;
     r.completed_at = g->completed_at;
@@ -136,7 +130,7 @@ std::vector<RoundSummary> campaign_at(const check::Scenario& s,
     r.advance_span = g->advance_span();
     r.finalize_span = g->finalize_span();
     r.excluded = g->excluded_devices.size();
-    for (const auto& shard : g->digests) r.digested_devices += shard.size();
+    r.digested_devices = g->digests.size();
     for (const auto& [unit, rep] : g->reports) {
       if (rep.consistent) r.values[unit] = {rep.local_value, rep.channel_value};
     }
@@ -145,31 +139,31 @@ std::vector<RoundSummary> campaign_at(const check::Scenario& s,
   return out;
 }
 
-/// One observer assembly shard against four: every round identical.
-/// Returns the number of rounds compared.
-std::size_t expect_assembly_shard_invariant(const check::Scenario& s) {
-  const auto one = campaign_at(s, 1);
-  const auto four = campaign_at(s, 4);
-  EXPECT_EQ(one.size(), four.size()) << s.label();
-  EXPECT_TRUE(one == four) << s.label();
-  return one.size();
+/// The same campaign, twice: every round identical. Returns the number of
+/// rounds compared.
+std::size_t expect_campaign_reproducible(const check::Scenario& s) {
+  const auto first = campaign(s);
+  const auto second = campaign(s);
+  EXPECT_EQ(first.size(), second.size()) << s.label();
+  EXPECT_TRUE(first == second) << s.label();
+  return first.size();
 }
 
-TEST(SoaEquivalence, CorpusDigestsShardInvariant) {
+TEST(SoaEquivalence, CorpusCampaignsReproducible) {
   ASSERT_GE(corpus_files().size(), 4u);
   for (const auto& path : corpus_files()) {
     SCOPED_TRACE(path);
     const check::Scenario s = check::load_scenario(path);
-    EXPECT_GT(expect_assembly_shard_invariant(s), 0u) << s.label();
+    EXPECT_GT(expect_campaign_reproducible(s), 0u) << s.label();
   }
 }
 
-TEST(SoaEquivalence, FreshSeedsShardInvariant) {
+TEST(SoaEquivalence, FreshSeedCampaignsReproducible) {
   // 100 generated scenarios, the full spread of topologies and protocol
-  // variants. Every one must assemble identically at 1 and 4 shards.
+  // variants. Every one must assemble identically on both runs.
   std::size_t rounds = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    rounds += expect_assembly_shard_invariant(check::generate_scenario(seed));
+    rounds += expect_campaign_reproducible(check::generate_scenario(seed));
   }
   EXPECT_GT(rounds, 0u);
 }

@@ -113,7 +113,8 @@ TEST(WirePrimitives, RecoveryFailsBeyondHalfWindow) {
 
 TEST(WireServiceCost, FullFrameCostsExactlyTheReference) {
   // Calibration invariant: a 29-byte FullV2 notification costs exactly the
-  // v1 notification_service_time, so the full encoding reproduces v1 rates.
+  // calibrated notification_service_time, so the full encoding reproduces
+  // the paper-faithful rates.
   EXPECT_EQ(wire_service_cost(110000, kFullNotificationBytes), 110000);
   EXPECT_EQ(wire_service_cost(42000, kFullNotificationBytes), 42000);
   // Smaller frames cost proportionally less, floored by the fixed fraction.
@@ -385,6 +386,45 @@ TEST(ReportCodec, DeltaWithoutBaselineFailsClosed) {
   dec.add_unit(unit);
   EXPECT_FALSE(dec.decode({buf, len}, sim::msec(2)).has_value());
   EXPECT_EQ(stats.decode_failures, 1u);
+}
+
+TEST(ReportCodec, UnregisteredUnitFailsClosed) {
+  // A keyframe naming a unit the link never registered (a corrupt port
+  // field) must not grow decoder state or decode into a report.
+  for (const auto encoding : {WireEncoding::FullV2, WireEncoding::DeltaV2}) {
+    WireOptions opts;
+    opts.encoding = encoding;
+    WireStats stats;
+    ReportEncoder enc;
+    enc.configure(opts, sim::usec(50), &stats);
+    ReportDecoder dec;
+    dec.configure(opts, 3, &stats);
+    const net::UnitId known{3, 0, net::Direction::Ingress};
+    enc.add_unit(known);
+    dec.add_unit(known);
+
+    Mix mix(43);
+    std::uint8_t buf[kMaxReportFrameBytes];
+    for (const net::PortId port : {net::PortId{5}, net::PortId{1000}}) {
+      const UnitReport stray = make_report(mix, port, 1, 100, sim::msec(1));
+      enc.add_unit(stray.unit);
+      const std::size_t len = enc.encode(stray, sim::msec(1), buf);
+      EXPECT_FALSE(dec.decode({buf, len}, sim::msec(1)).has_value())
+          << "port " << port;
+    }
+    EXPECT_EQ(stats.decode_failures, 2u);
+
+    // The registered unit's chain is untouched: keyframe, then a delta.
+    for (VirtualSid sid = 1; sid <= 2; ++sid) {
+      const sim::SimTime ship = sim::msec(1 + sid);
+      const UnitReport r = make_report(mix, 0, sid, 100 * sid, ship);
+      const std::size_t len = enc.encode(r, ship, buf);
+      const auto back = dec.decode({buf, len}, ship + sim::usec(50));
+      ASSERT_TRUE(back.has_value()) << sid;
+      expect_report_eq(*back, r, static_cast<int>(sid));
+    }
+    EXPECT_EQ(stats.decode_failures, 2u);
+  }
 }
 
 TEST(ReportCodec, EveryFrameFitsTheInlineBudget) {
