@@ -91,10 +91,10 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
 //   * memory accounting from the SoA/lazy-port core: RSS growth across
 //     construction, process peak RSS, and how many ports a workload-free
 //     snapshot round actually materializes,
-//   * streaming-assembly accounting (DESIGN.md section 16.4): the observer
-//     folds unit reports into per-device digests as they arrive, so a
-//     round's assembly state is one entry per switch and the assembly tail
-//     stays flat as the fabric grows.
+//   * assembly accounting (DESIGN.md section 16.4): the observer folds
+//     unit reports into per-device digests as they arrive, so a round's
+//     aggregates are one entry per switch and the assembly tail stays flat
+//     as the fabric grows.
 struct FatTreeRound {
   double spread_us = 0;
   double assemble_us = 0;
@@ -112,11 +112,8 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
 
   core::NetworkOptions opt;
   opt.seed = 818;
-  // Production posture (DESIGN.md section 16): the default wire path +
-  // streaming digest-only assembly. A round's observer state is
-  // O(devices) — the raw unit reports are never retained — and every
-  // aggregate below reads the per-device digests.
-  opt.observer.retain_unit_reports = false;
+  // Default wire path and observer (DESIGN.md section 16): every aggregate
+  // below reads the per-device digests, not the stored unit reports.
   core::Network net(net::make_fat_tree(k), opt);
 
   const std::uint64_t rss_built = obs::current_rss_kb();
@@ -251,8 +248,8 @@ int main(int argc, char** argv) {
                      ": full-fabric spread positive and under 500us");
     bench::check(ft[i].assembly_entries_per_round == ft[i].switches,
                  "k=" + std::to_string(ks[i]) +
-                     ": assembly state is O(devices) per round (one digest "
-                     "per switch, no retained unit reports)");
+                     ": assembly aggregates are O(devices) per round (one "
+                     "digest per switch)");
   }
   // Streaming completion is O(1) per report: the assembly tail (last unit
   // advance -> observer completion) must grow far slower than the unit

@@ -49,7 +49,7 @@ trunk core 1 edge1 2
   }
 
   std::cout << "Deployment: edge0 + edge1 snapshot-enabled, core legacy.\n"
-            << "Snapshot " << snap->id << ": " << snap->reports.size()
+            << "Snapshot " << snap->id << ": " << snap->received_total
             << " units reported (the legacy core contributes none), all "
             << (snap->all_consistent() ? "consistent" : "INCONSISTENT")
             << ".\n\n";
@@ -57,20 +57,19 @@ trunk core 1 edge1 2
   // The headline property survives the legacy hop: counts at edge0's
   // trunk egress match edge1's trunk ingress plus in-flight state on the
   // *logical* channel spanning the core.
-  const auto eg = snap->reports.find({0, 2, net::Direction::Egress});
-  const auto in = snap->reports.find({2, 2, net::Direction::Ingress});
-  if (eg == snap->reports.end() || in == snap->reports.end()) {
+  const auto* eg = snap->report({0, 2, net::Direction::Egress});
+  const auto* in = snap->report({2, 2, net::Direction::Ingress});
+  if (eg == nullptr || in == nullptr) {
     std::cerr << "missing reports\n";
     return 1;
   }
-  std::cout << "edge0 trunk egress counted:  " << eg->second.local_value
+  std::cout << "edge0 trunk egress counted:  " << eg->local_value
             << " packets pre-snapshot\n"
-            << "edge1 trunk ingress counted: " << in->second.local_value
-            << " packets + " << in->second.channel_value
+            << "edge1 trunk ingress counted: " << in->local_value
+            << " packets + " << in->channel_value
             << " in flight across the legacy core\n"
             << "conservation: "
-            << (eg->second.local_value ==
-                        in->second.local_value + in->second.channel_value
+            << (eg->local_value == in->local_value + in->channel_value
                     ? "EXACT"
                     : "VIOLATED")
             << "\n\n";
@@ -79,8 +78,5 @@ trunk core 1 edge1 2
                    net.host(1).header_leaks()
             << " leaked snapshot headers (must be 0: stripped at the last "
                "enabled device).\n";
-  return eg->second.local_value ==
-                 in->second.local_value + in->second.channel_value
-             ? 0
-             : 1;
+  return eg->local_value == in->local_value + in->channel_value ? 0 : 1;
 }

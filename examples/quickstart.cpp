@@ -45,7 +45,7 @@ int main() {
 
   // 4. Use it.
   std::cout << "Snapshot " << snapshot->id << " complete.\n"
-            << "  units reporting:      " << snapshot->reports.size() << "\n"
+            << "  units reporting:      " << snapshot->received_total << "\n"
             << "  all consistent:       "
             << (snapshot->all_consistent() ? "yes" : "no") << "\n"
             << "  synchronization span: " << sim::to_usec(snapshot->advance_span())
@@ -59,10 +59,9 @@ int main() {
     std::cout << "  " << net.switch_at(swid).name() << ":";
     const auto ports = net.switch_at(swid).options().num_ports;
     for (net::PortId p = 0; p < ports; ++p) {
-      const auto it =
-          snapshot->reports.find({swid, p, net::Direction::Ingress});
-      if (it != snapshot->reports.end()) {
-        std::cout << " " << it->second.local_value;
+      const auto* it = snapshot->report({swid, p, net::Direction::Ingress});
+      if (it != nullptr) {
+        std::cout << " " << it->local_value;
       }
     }
     std::cout << "\n";

@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       std::cout << "snapshot " << snap->id << " @ "
                 << sim::to_msec(snap->scheduled_at) << "ms: sync span "
                 << sim::to_usec(snap->advance_span()) << "us, "
-                << snap->consistent_count() << "/" << snap->reports.size()
+                << snap->consistent_count() << "/" << snap->received_total
                 << " consistent units, total " << snap->total_value(false);
       if (opt.channel_state) {
         std::cout << " (+" << snap->total_value(true) - snap->total_value(false)
@@ -266,12 +266,11 @@ int main(int argc, char** argv) {
                   << net.switch_at(swid).name() << std::right;
         const auto ports = net.switch_at(swid).options().num_ports;
         for (net::PortId p = 0; p < ports; ++p) {
-          const auto it =
-              last->reports.find({swid, p, net::Direction::Ingress});
-          if (it != last->reports.end()) {
+          const auto* it = last->report({swid, p, net::Direction::Ingress});
+          if (it != nullptr) {
             std::cout << " " << std::setw(8)
-                      << (it->second.consistent
-                              ? std::to_string(it->second.local_value)
+                      << (it->consistent
+                              ? std::to_string(it->local_value)
                               : std::string("inconsist"));
           }
         }

@@ -226,17 +226,15 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
   out.result.datapath_allocs = sim::det::datapath_allocs() - allocs_before;
 
   // Rolling end-state digest: ordered over snapshot ids (std::map), with
-  // the per-report hashes folded commutatively (XOR) so the unordered
-  // report map's iteration order cannot leak into the digest.
+  // the per-report hashes folded commutatively (XOR), so the digest does
+  // not depend on the order reports are stored in.
   std::uint64_t digest = kDigestBasis;
   for (const auto& [id, snap] : out.completed) {
     digest = mix64(digest, id);
     digest = mix64(digest, static_cast<std::uint64_t>(snap.completed_at));
     digest = mix64(digest, snap.complete ? 1 : 0);
     std::uint64_t reports = 0;
-    for (const auto& [unit, report] : snap.reports) {
-      reports ^= report_hash(report);
-    }
+    for (const auto& report : snap.reports()) reports ^= report_hash(report);
     digest = mix64(digest, reports);
   }
   digest = mix64(digest, out.result.requested);

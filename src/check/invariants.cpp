@@ -66,29 +66,27 @@ std::vector<Violation> ConsistencyChecker::check_all(
 
 void ConsistencyChecker::check_structure(const snap::GlobalSnapshot& s,
                                          std::vector<Violation>& out) const {
+  // Excluded devices' digests are zeroed, so this sums the rest.
   std::size_t expected = 0;
-  for (const auto& [device, units] : s.expected_devices) {
-    if (std::find(s.excluded_devices.begin(), s.excluded_devices.end(),
-                  device) == s.excluded_devices.end()) {
-      expected += units;
-    }
-  }
-  if (s.reports.size() != expected) {
-    std::ostringstream os;
-    os << s.reports.size() << " reports, expected " << expected;
-    out.push_back({"structure", s.id, os.str()});
-  }
-  for (const auto& [unit, r] : s.reports) {
+  for (const auto& d : s.digests) expected += d.expected;
+  std::size_t stored = 0;
+  for (const auto& r : s.reports()) {
+    ++stored;
     if (r.sid != s.id) {
       std::ostringstream os;
-      os << unit_str(unit) << " report carries sid " << r.sid;
+      os << unit_str(r.unit) << " report carries sid " << r.sid;
       out.push_back({"structure", s.id, os.str()});
     }
     if (std::find(s.excluded_devices.begin(), s.excluded_devices.end(),
                   r.device) != s.excluded_devices.end()) {
-      out.push_back(
-          {"structure", s.id, unit_str(unit) + " reported by excluded device"});
+      out.push_back({"structure", s.id,
+                     unit_str(r.unit) + " reported by excluded device"});
     }
+  }
+  if (stored != expected) {
+    std::ostringstream os;
+    os << stored << " reports, expected " << expected;
+    out.push_back({"structure", s.id, os.str()});
   }
 }
 
@@ -108,16 +106,14 @@ void ConsistencyChecker::check_conservation(const snap::GlobalSnapshot& s,
       const auto sb = static_cast<net::NodeId>(a_to_b ? tr.switch_b : tr.switch_a);
       const auto pa = a_to_b ? tr.port_a : tr.port_b;
       const auto pb = a_to_b ? tr.port_b : tr.port_a;
-      const auto eg = s.reports.find({sa, pa, net::Direction::Egress});
-      const auto in = s.reports.find({sb, pb, net::Direction::Ingress});
-      if (eg == s.reports.end() || in == s.reports.end()) continue;
-      if (!eg->second.consistent || !in->second.consistent) continue;
+      const auto* eg = s.report({sa, pa, net::Direction::Egress});
+      const auto* in = s.report({sb, pb, net::Direction::Ingress});
+      if (eg == nullptr || in == nullptr) continue;
+      if (!eg->consistent || !in->consistent) continue;
 
-      const std::uint64_t sent = eg->second.local_value;
-      std::uint64_t received = in->second.local_value;
-      if (options_.subtract_channel_state) {
-        received += in->second.channel_value;
-      }
+      const std::uint64_t sent = eg->local_value;
+      std::uint64_t received = in->local_value;
+      if (options_.subtract_channel_state) received += in->channel_value;
       // Packets lost on the wire were counted at the egress unit but can
       // never reach the ingress unit or its channel state; every such loss
       // widens the equation by at most one packet's worth of metric. The
@@ -152,16 +148,13 @@ void ConsistencyChecker::check_sync_span(const snap::GlobalSnapshot& s,
 void ConsistencyChecker::check_monotonicity(const snap::GlobalSnapshot& prev,
                                             const snap::GlobalSnapshot& cur,
                                             std::vector<Violation>& out) {
-  for (const auto& [unit, r] : cur.reports) {
+  for (const auto& r : cur.reports()) {
     if (!r.consistent || r.inferred) continue;
-    const auto it = prev.reports.find(unit);
-    if (it == prev.reports.end() || !it->second.consistent ||
-        it->second.inferred) {
-      continue;
-    }
-    if (r.local_value < it->second.local_value) {
+    const auto* before = prev.report(r.unit);
+    if (before == nullptr || !before->consistent || before->inferred) continue;
+    if (r.local_value < before->local_value) {
       std::ostringstream os;
-      os << unit_str(unit) << " went from " << it->second.local_value
+      os << unit_str(r.unit) << " went from " << before->local_value
          << " (id " << prev.id << ") to " << r.local_value;
       out.push_back({"monotonicity", cur.id, os.str()});
     }
@@ -171,15 +164,15 @@ void ConsistencyChecker::check_monotonicity(const snap::GlobalSnapshot& prev,
 void ConsistencyChecker::check_advance_order(const snap::GlobalSnapshot& prev,
                                              const snap::GlobalSnapshot& cur,
                                              std::vector<Violation>& out) {
-  for (const auto& [unit, r] : cur.reports) {
+  for (const auto& r : cur.reports()) {
     if (r.advance_time == 0) continue;
-    const auto it = prev.reports.find(unit);
-    if (it == prev.reports.end() || it->second.advance_time == 0) continue;
-    if (r.advance_time < it->second.advance_time) {
+    const auto* before = prev.report(r.unit);
+    if (before == nullptr || before->advance_time == 0) continue;
+    if (r.advance_time < before->advance_time) {
       std::ostringstream os;
-      os << unit_str(unit) << " advanced to id " << cur.id << " at "
+      os << unit_str(r.unit) << " advanced to id " << cur.id << " at "
          << sim::to_usec(r.advance_time) << "us, before id " << prev.id
-         << " at " << sim::to_usec(it->second.advance_time) << "us";
+         << " at " << sim::to_usec(before->advance_time) << "us";
       out.push_back({"advance-order", cur.id, os.str()});
     }
   }
@@ -193,19 +186,16 @@ void ConsistencyChecker::check_oracle(
     const auto ideal_it = ideal.find(id);
     if (ideal_it == ideal.end()) continue;
     const auto& id_snap = ideal_it->second;
-    for (const auto& [unit, r] : hw.reports) {
+    for (const auto& r : hw.reports()) {
       if (!r.consistent || r.inferred) continue;
-      const auto o = id_snap.reports.find(unit);
-      if (o == id_snap.reports.end() || !o->second.consistent ||
-          o->second.inferred) {
-        continue;
-      }
-      if (r.local_value != o->second.local_value ||
-          r.channel_value != o->second.channel_value) {
+      const auto* o = id_snap.report(r.unit);
+      if (o == nullptr || !o->consistent || o->inferred) continue;
+      if (r.local_value != o->local_value ||
+          r.channel_value != o->channel_value) {
         std::ostringstream os;
-        os << unit_str(unit) << " hardware (" << r.local_value << ","
-           << r.channel_value << ") != ideal (" << o->second.local_value << ","
-           << o->second.channel_value << ")";
+        os << unit_str(r.unit) << " hardware (" << r.local_value << ","
+           << r.channel_value << ") != ideal (" << o->local_value << ","
+           << o->channel_value << ")";
         out.push_back({"oracle", id, os.str()});
       }
     }

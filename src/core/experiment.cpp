@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <ostream>
 
@@ -70,9 +69,9 @@ bool extract_values(const snap::GlobalSnapshot& snap,
   out.clear();
   out.reserve(units.size());
   for (const auto& unit : units) {
-    const auto it = snap.reports.find(unit);
-    if (it == snap.reports.end() || !it->second.consistent) return false;
-    out.push_back(static_cast<double>(it->second.local_value));
+    const auto* r = snap.report(unit);
+    if (r == nullptr || !r->consistent) return false;
+    out.push_back(static_cast<double>(r->local_value));
   }
   return true;
 }
@@ -101,21 +100,18 @@ std::vector<UnitDelta> snapshot_deltas(const snap::GlobalSnapshot& from,
   std::vector<UnitDelta> out;
   const double window_sec =
       sim::to_sec(to.scheduled_at - from.scheduled_at);
-  for (const auto& [unit, after] : to.reports) {
+  for (const auto& after : to.reports()) {
     if (!after.consistent) continue;
-    const auto it = from.reports.find(unit);
-    if (it == from.reports.end() || !it->second.consistent) continue;
-    if (after.local_value < it->second.local_value) continue;  // Not monotone.
+    const auto* before = from.report(after.unit);
+    if (before == nullptr || !before->consistent) continue;
+    if (after.local_value < before->local_value) continue;  // Not monotone.
     UnitDelta d;
-    d.unit = unit;
-    d.delta = after.local_value - it->second.local_value;
+    d.unit = after.unit;
+    d.delta = after.local_value - before->local_value;
     d.rate_per_sec =
         window_sec > 0.0 ? static_cast<double>(d.delta) / window_sec : 0.0;
     out.push_back(d);
   }
-  std::sort(out.begin(), out.end(), [](const UnitDelta& a, const UnitDelta& b) {
-    return a.unit < b.unit;
-  });
   return out;
 }
 
@@ -130,15 +126,9 @@ void write_snapshot_csv(std::ostream& os,
   os << "snapshot_id,scheduled_ms,switch,port,direction,consistent,inferred,"
         "value,channel_value,advance_us\n";
   for (const auto* s : snaps) {
-    // Deterministic row order: sort units.
-    std::vector<net::UnitId> units;
-    units.reserve(s->reports.size());
-    for (const auto& [unit, r] : s->reports) units.push_back(unit);
-    std::sort(units.begin(), units.end());
-    for (const auto& unit : units) {
-      const auto& r = s->reports.at(unit);
-      os << s->id << ',' << sim::to_msec(s->scheduled_at) << ',' << unit.node
-         << ',' << unit.port << ',' << direction_name(unit.direction) << ','
+    for (const auto& r : s->reports()) {
+      os << s->id << ',' << sim::to_msec(s->scheduled_at) << ',' << r.unit.node
+         << ',' << r.unit.port << ',' << direction_name(r.unit.direction) << ','
          << (r.consistent ? 1 : 0) << ',' << (r.inferred ? 1 : 0) << ','
          << r.local_value << ',' << r.channel_value << ','
          << sim::to_usec(r.advance_time) << "\n";

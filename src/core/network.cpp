@@ -158,15 +158,13 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
 
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
-  // The observer's snapshot config and wire format always mirror the
-  // network's; the rest (completion timeout, report retention) is taken
-  // from the caller's observer options.
-  snap::Observer::Options obs_options = options_.observer;
-  obs_options.snapshot = options_.snapshot;
-  obs_options.wire = options_.wire;
-  obs_options.wire_stats = &wire_stats_;
-  observer_ =
-      std::make_unique<snap::Observer>(sim_, timing_, std::move(obs_options));
+  observer_ = std::make_unique<snap::Observer>(
+      sim_, timing_,
+      snap::Observer::Options{
+          .snapshot = options_.snapshot,
+          .completion_timeout = options_.observer.completion_timeout,
+          .wire = options_.wire,
+          .wire_stats = &wire_stats_});
   poller_ = std::make_unique<poll::PollingObserver>(sim_, timing_,
                                                     master.fork("poller"));
 

@@ -66,7 +66,12 @@ struct NetworkOptions {
   /// ECN marking threshold in packets (0 = off), applied on all switches.
   std::size_t ecn_threshold = 0;
 
-  snap::Observer::Options observer;
+  /// The observer's own setting; its snapshot config, wire format and wire
+  /// accounting always follow the network's.
+  struct ObserverOptions {
+    sim::Duration completion_timeout =
+        snap::Observer::Options{}.completion_timeout;
+  } observer;
   snap::ControlPlane::Options control;
 
   /// Channel-state snapshots stall on traffic-less channels; by default the

@@ -4,7 +4,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace speedlight::net {
 
@@ -35,13 +34,3 @@ struct UnitId {
 };
 
 }  // namespace speedlight::net
-
-template <>
-struct std::hash<speedlight::net::UnitId> {
-  std::size_t operator()(const speedlight::net::UnitId& u) const noexcept {
-    const std::size_t h = (static_cast<std::size_t>(u.node) << 20) ^
-                          (static_cast<std::size_t>(u.port) << 2) ^
-                          static_cast<std::size_t>(u.direction);
-    return h * 0x9E3779B97f4A7C15ULL >> 16;
-  }
-};

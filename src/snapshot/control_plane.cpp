@@ -40,7 +40,10 @@ void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask)
   state.handle = unit;
   state.ctrl_last_seen.assign(unit->num_channels(), 0);
   state.completion_mask = std::move(completion_mask);
-  unit_index_[unit->unit_id()] = units_.size();
+  assert(unit->unit_id().node == device_);
+  const std::size_t slot = unit_slot(unit->unit_id());
+  if (slot >= unit_of_slot_.size()) unit_of_slot_.resize(slot + 1, kNoUnit);
+  unit_of_slot_[slot] = static_cast<std::uint32_t>(units_.size());
   units_.push_back(std::move(state));
   report_enc_.add_unit(unit->unit_id());
   if (report_) sink_dec_.add_unit(unit->unit_id());
@@ -120,9 +123,12 @@ bool ControlPlane::locally_complete(VirtualSid id) const {
 }
 
 void ControlPlane::on_notification(const Notification& n) {
-  const auto it = unit_index_.find(n.unit);
-  if (it == unit_index_.end()) return;
-  UnitState& u = units_[it->second];
+  const std::size_t slot = unit_slot(n.unit);
+  if (n.unit.node != device_ || slot >= unit_of_slot_.size() ||
+      unit_of_slot_[slot] == kNoUnit) {
+    return;
+  }
+  UnitState& u = units_[unit_of_slot_[slot]];
   if (options_.snapshot.channel_state) {
     handle_notification_cs(u, n);
   } else {
@@ -220,7 +226,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
     // Batched register read, then the downward value-inference walk. The
     // unit is captured by index: units_ may reallocate if units are added
     // after wiring (it is not, but cheap insurance).
-    const std::size_t unit_idx = unit_index_.at(u.handle->unit_id());
+    const auto unit_idx = static_cast<std::size_t>(&u - units_.data());
     sim_.after(timing_.register_read_latency, [this, unit_idx, from, floor,
                                                finalize_ts]() {
       UnitState* up = &units_[unit_idx];
@@ -260,7 +266,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
         reports[idx] = r;
         if (i == from) break;  // VirtualSid is unsigned.
       }
-      for (const auto& r : reports) ship(r);
+      for (const auto& r : reports) ship(unit_idx, r);
       for (auto it2 = up->advance_time.begin();
            it2 != up->advance_time.end() && it2->first <= floor;) {
         it2 = up->advance_time.erase(it2);
@@ -278,7 +284,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
 
 void ControlPlane::read_and_report(UnitState& u, VirtualSid sid,
                                    sim::SimTime finalize_ts) {
-  const std::size_t unit_idx = unit_index_.at(u.handle->unit_id());
+  const auto unit_idx = static_cast<std::size_t>(&u - units_.data());
   const auto at = u.advance_time.find(sid);
   const sim::SimTime advance_ts =
       at != u.advance_time.end() ? at->second : finalize_ts;
@@ -300,7 +306,7 @@ void ControlPlane::read_and_report(UnitState& u, VirtualSid sid,
     }
     r.advance_time = advance_ts;
     r.finalize_time = finalize_ts;
-    ship(r);
+    ship(unit_idx, r);
   });
 }
 
@@ -313,7 +319,7 @@ void ControlPlane::report_inconsistent(UnitState& u, VirtualSid sid) {
   const auto at = u.advance_time.find(sid);
   r.advance_time = at != u.advance_time.end() ? at->second : sim_.now();
   r.finalize_time = sim_.now();
-  ship(r);
+  ship(static_cast<std::size_t>(&u - units_.data()), r);
 }
 
 void ControlPlane::set_report_link(void* ctx, ReportFrameFn fn,
@@ -352,15 +358,11 @@ void ControlPlane::on_observer_session(std::uint8_t session) {
   report_enc_.begin_session(session);
 }
 
-void ControlPlane::ship(const UnitReport& r) {
-  if (!scope_.empty()) {
-    const auto it = unit_index_.find(r.unit);
-    if (it != unit_index_.end() &&
-        (it->second >= scope_.size() || !scope_[it->second])) {
-      // Outside the observer's sync group: never crosses the report RPC.
-      ++reports_filtered_;
-      return;
-    }
+void ControlPlane::ship(std::size_t unit_idx, const UnitReport& r) {
+  if (!scope_.empty() && (unit_idx >= scope_.size() || !scope_[unit_idx])) {
+    // Outside the observer's sync group: never crosses the report RPC.
+    ++reports_filtered_;
+    return;
   }
   ++reports_sent_;
   sim_.tracer().instant(obs::Category::ControlPlane, obs::EventName::CpReport,

@@ -16,7 +16,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/types.hpp"
@@ -164,7 +163,7 @@ class ControlPlane {
   [[nodiscard]] VirtualSid completion_floor(const UnitState& u) const;
   void read_and_report(UnitState& u, VirtualSid sid, sim::SimTime finalize_ts);
   void report_inconsistent(UnitState& u, VirtualSid sid);
-  void ship(const UnitReport& r);
+  void ship(std::size_t unit_idx, const UnitReport& r);
   static void sink_frame_thunk(void* ctx, std::uint16_t dev_index,
                                const std::uint8_t* bytes, std::uint8_t len);
   void register_poll_tick();
@@ -180,7 +179,9 @@ class ControlPlane {
   sim::LocalClock clock_;
 
   std::vector<UnitState> units_;
-  std::unordered_map<net::UnitId, std::size_t> unit_index_;
+  static constexpr std::uint32_t kNoUnit = 0xFFFFFFFFu;
+  /// Index into units_ by unit_slot() (every unit is one of this device's).
+  std::vector<std::uint32_t> unit_of_slot_;
   sim::Endpoint report_ep_;
 
   // --- Report link (null fn = no receiver yet) -----------------------------

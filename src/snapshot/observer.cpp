@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 namespace speedlight::snap {
@@ -33,7 +34,7 @@ bool GlobalSnapshot::all_consistent() const {
 
 std::size_t GlobalSnapshot::consistent_count() const {
   std::size_t n = 0;
-  for (const auto& [device, d] : digests) n += d.consistent;
+  for (const auto& d : digests) n += d.consistent;
   return n;
 }
 
@@ -43,7 +44,7 @@ sim::Duration span_of(const GlobalSnapshot& snap,
                       sim::SimTime DeviceDigest::* hi_field) {
   sim::SimTime lo = 0;
   sim::SimTime hi = 0;
-  for (const auto& [device, d] : snap.digests) {
+  for (const auto& d : snap.digests) {
     fold_extrema(d.*lo_field, lo, hi);
     fold_extrema(d.*hi_field, lo, hi);
   }
@@ -62,7 +63,7 @@ sim::Duration GlobalSnapshot::finalize_span() const {
 
 sim::SimTime GlobalSnapshot::latest_advance() const {
   sim::SimTime latest = 0;
-  for (const auto& [device, d] : digests) {
+  for (const auto& d : digests) {
     latest = std::max(latest, d.advance_max);
   }
   return latest;
@@ -70,16 +71,20 @@ sim::SimTime GlobalSnapshot::latest_advance() const {
 
 std::uint64_t GlobalSnapshot::total_value(bool include_channel) const {
   std::uint64_t total = 0;
-  for (const auto& [device, d] : digests) {
+  for (const auto& d : digests) {
     total += d.local_sum;
     if (include_channel) total += d.channel_sum;
   }
   return total;
 }
 
-const DeviceDigest* GlobalSnapshot::digest(net::NodeId device) const {
-  const auto it = digests.find(device);
-  return it == digests.end() ? nullptr : &it->second;
+const UnitReport* GlobalSnapshot::report(const net::UnitId& u) const {
+  if (u.node >= device_of_node_.size()) return nullptr;
+  const std::uint32_t d = device_of_node_[u.node];
+  if (d == kNoDevice) return nullptr;
+  const std::size_t slot = first_slot_[d] + unit_slot(u);
+  if (slot >= first_slot_[d + 1]) return nullptr;
+  return occupied(slots_[slot]) ? &slots_[slot] : nullptr;
 }
 
 Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
@@ -101,6 +106,14 @@ Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
                       [this] { return std::uint64_t{total_units_}; });
   reg.register_reader("observer.reports_dropped_down", MetricKind::Counter,
                       [this] { return reports_dropped_while_down_; });
+  static constexpr std::array<const char*, kIgnoreReasons> kIgnoreNames = {
+      "unknown_unit", "out_of_scope",      "unknown_sid",
+      "straggler",    "unexpected_device", "duplicate"};
+  for (std::size_t i = 0; i < kIgnoreReasons; ++i) {
+    reg.register_reader(std::string("observer.reports_ignored.") +
+                            kIgnoreNames[i],
+                        MetricKind::Counter, [this, i] { return ignored_[i]; });
+  }
   completion_latency_ = &reg.histogram("observer.completion_latency_ns");
 }
 
@@ -115,10 +128,20 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   dev.cp = cp;
   dev.units = cp->unit_ids();
   dev.rpc = rpc;
-  dev.first_unit_index = total_units_;
-  dev.relevant_units = dev.units.size();
+  total_units_ += dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
-  for (const auto& u : dev.units) unit_index_[u] = total_units_++;
+  // Extend the layout new rounds start from; outstanding rounds keep theirs.
+  std::size_t slots = 0;
+  for (const auto& u : dev.units) slots = std::max(slots, unit_slot(u) + 1);
+  auto& first_slot = blank_.first_slot_;
+  first_slot.push_back(first_slot.back() + slots);
+  auto& device_of_node = blank_.device_of_node_;
+  if (cp->device() >= device_of_node.size()) {
+    device_of_node.resize(cp->device() + 1, GlobalSnapshot::kNoDevice);
+  }
+  device_of_node[cp->device()] = dev_index;
+  blank_.digests.push_back({.expected = dev.units.size()});
+  blank_.expected_total += dev.units.size();
   dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
   for (const auto& u : dev.units) dev.decoder.add_unit(u);
   dev.decoder.begin_session(session_);
@@ -144,19 +167,12 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   }
   ++next_sid_;
 
-  GlobalSnapshot& snap = snapshots_[id];
-  snap.id = id;
-  snap.scheduled_at = when;
-  snap.seen.assign(total_units_, false);
   // Pin the device set (and the sync-group membership): late-attached
   // devices are not part of this snapshot (Section 6, "Node attachment").
-  for (const Device& dev : devices_) {
-    snap.expected_devices[dev.cp->device()] = dev.relevant_units;
-    DeviceDigest d;
-    d.expected = dev.relevant_units;
-    snap.digests.emplace(dev.cp->device(), d);
-    snap.expected_total += dev.relevant_units;
-  }
+  GlobalSnapshot& snap = snapshots_.emplace(id, blank_).first->second;
+  snap.id = id;
+  snap.scheduled_at = when;
+  snap.slots_.resize(snap.first_slot_.back());
 
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsRequest,
                         obs::observer_track(), sim_.now(), id);
@@ -179,25 +195,27 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
 
 void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
   if (pred) {
-    relevant_.assign(total_units_, true);
+    relevant_.assign(blank_.first_slot_.back(), true);
   } else {
     relevant_.clear();
   }
-  for (auto& dev : devices_) {
+  blank_.expected_total = 0;
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
+    Device& dev = devices_[d];
     std::vector<bool> mask;
+    std::size_t expected = dev.units.size();
     if (pred) {
       mask.assign(dev.units.size(), true);
-      std::size_t count = 0;
+      expected = 0;
       for (std::size_t i = 0; i < dev.units.size(); ++i) {
         const bool rel = pred(dev.units[i]);
         mask[i] = rel;
-        relevant_[dev.first_unit_index + i] = rel;
-        count += rel ? 1 : 0;
+        relevant_[blank_.first_slot_[d] + unit_slot(dev.units[i])] = rel;
+        expected += rel ? 1 : 0;
       }
-      dev.relevant_units = count;
-    } else {
-      dev.relevant_units = dev.units.size();
     }
+    blank_.digests[d].expected = expected;
+    blank_.expected_total += expected;
     // The mask rides the same keyed channel as snapshot requests, so any
     // request made after this call is ordered behind it on every device.
     ControlPlane* cp = dev.cp;
@@ -242,35 +260,36 @@ void Observer::on_report_frame(std::uint16_t dev_index,
     ++reports_dropped_while_down_;
     return;
   }
-  if (dev_index >= devices_.size()) return;
+  if (dev_index >= devices_.size()) return ignore(IgnoreReason::UnknownUnit);
   const auto r = devices_[dev_index].decoder.decode(bytes, sim_.now());
   if (!r) return;  // Stale session / malformed; counted by the decoder.
-  on_report(*r);
+  on_report(dev_index, *r);
 }
 
-void Observer::on_report(const UnitReport& r) {
-  const auto gi = unit_index_.find(r.unit);
-  if (gi == unit_index_.end()) return;
-  if (!relevant_.empty() &&
-      (gi->second >= relevant_.size() || !relevant_[gi->second])) {
-    return;  // Outside the sync group (control plane restarted mid-change).
+void Observer::on_report(std::uint16_t dev_index, const UnitReport& r) {
+  const auto& first_slot = blank_.first_slot_;
+  const std::size_t slot = first_slot[dev_index] + unit_slot(r.unit);
+  if (r.unit.node != devices_[dev_index].cp->device() ||
+      slot >= first_slot[dev_index + 1]) {
+    return ignore(IgnoreReason::UnknownUnit);
+  }
+  if (!relevant_.empty() && (slot >= relevant_.size() || !relevant_[slot])) {
+    // Outside the sync group (control plane restarted mid-change).
+    return ignore(IgnoreReason::OutOfScope);
   }
   auto it = snapshots_.find(r.sid);
-  if (it == snapshots_.end()) return;  // Spurious (e.g. newly attached node).
+  if (it == snapshots_.end()) return ignore(IgnoreReason::UnknownSid);
   GlobalSnapshot& snap = it->second;
-  if (snap.complete) return;  // Device timed out; drop stragglers.
-  const auto dd = snap.digests.find(r.device);
-  if (dd == snap.digests.end()) {
-    // Attached after this snapshot was requested, or excluded: spurious.
-    return;
+  if (snap.complete) return ignore(IgnoreReason::Straggler);
+  if (dev_index >= snap.digests.size()) {
+    return ignore(IgnoreReason::UnexpectedDevice);
   }
-  if (gi->second >= snap.seen.size() || snap.seen[gi->second]) {
-    return;  // Duplicate delivery keeps the first copy.
-  }
-  snap.seen[gi->second] = true;
-  dd->second.fold(r);
+  UnitReport& stored = snap.slots_[slot];
+  // Duplicate delivery keeps the first copy.
+  if (GlobalSnapshot::occupied(stored)) return ignore(IgnoreReason::Duplicate);
+  stored = r;
+  snap.digests[dev_index].fold(r);
   ++snap.received_total;
-  if (options_.retain_unit_reports) snap.reports.emplace(r.unit, r);
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsCollect,
                         obs::observer_track(), sim_.now(), r.sid,
                         obs::pack_unit(r.unit));
@@ -285,8 +304,6 @@ void Observer::check_complete(VirtualSid id) {
 
   snap.complete = true;
   snap.completed_at = sim_.now();
-  // The digests are the round's record now; the dedup bitset is dead weight.
-  std::vector<bool>().swap(snap.seen);
   ++completed_;
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsComplete,
                         obs::observer_track(), sim_.now(), id,
@@ -304,17 +321,18 @@ void Observer::timeout_snapshot(VirtualSid id) {
   GlobalSnapshot& snap = it->second;
 
   // Exclude every expected device that has not delivered all its units:
-  // its digest (and any retained partial reports) leave the snapshot.
-  for (const auto& dev : devices_) {
-    const auto dd = snap.digests.find(dev.cp->device());
-    if (dd == snap.digests.end()) continue;  // Not part of this snapshot.
-    if (dd->second.received >= dd->second.expected) continue;
-    snap.excluded_devices.push_back(dev.cp->device());
-    snap.expected_total -= dd->second.expected;
-    snap.received_total -= dd->second.received;
-    snap.digests.erase(dd);
-    if (options_.retain_unit_reports) {
-      for (const auto& u : dev.units) snap.reports.erase(u);
+  // its digest is zeroed, its slots cleared, and lookups stop finding it.
+  for (std::size_t i = 0; i < snap.digests.size(); ++i) {
+    DeviceDigest& d = snap.digests[i];
+    if (d.received >= d.expected) continue;
+    const net::NodeId node = devices_[i].cp->device();
+    snap.excluded_devices.push_back(node);
+    snap.expected_total -= d.expected;
+    snap.received_total -= d.received;
+    d = DeviceDigest{};
+    snap.device_of_node_[node] = GlobalSnapshot::kNoDevice;
+    for (auto s = snap.first_slot_[i]; s < snap.first_slot_[i + 1]; ++s) {
+      snap.slots_[s] = UnitReport{};
     }
   }
   check_complete(id);

@@ -3,21 +3,23 @@
 // per-unit reports into global snapshots, detects completion, enforces the
 // id-rollover window out-of-band, and times out failed devices.
 //
-// Assembly is streaming (DESIGN.md section 16.4): each arriving unit report
-// folds into a per-device digest — counts, consistent-value sums, and
-// advance/finalize extrema — so completion checks are O(1) and a round's
-// assembly state is O(devices), not O(units). Retaining the raw per-unit
-// reports is optional (`retain_unit_reports`, on by default for the audit
-// tooling and tests); large-fabric runs turn it off and read everything
-// through the digests.
+// Assembly (DESIGN.md section 16, "Observer assembly"): each round owns
+// one flat store of report slots, laid out when the round is requested —
+// every device pinned to the round owns a run of slots indexed by
+// unit_slot() (port * 2 + direction). An arriving report lands in its slot
+// (an occupied slot marks a duplicate) and folds into its device's digest
+// — counts, consistent-value sums, and advance/finalize extrema — so the
+// completion check and a report lookup are O(1) and the aggregate getters
+// O(devices).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -48,29 +50,33 @@ struct DeviceDigest {
   void fold(const UnitReport& r);
 };
 
-/// A fully assembled network-wide snapshot.
+/// A fully assembled network-wide snapshot. Self-contained: a copy stays
+/// valid after the observer (and its network) are gone.
 struct GlobalSnapshot {
   VirtualSid id = 0;
   sim::SimTime scheduled_at = 0;
-  /// One report per processing unit (excluded devices' units missing).
-  /// Populated only when the observer retains unit reports; the aggregate
-  /// getters below never need it.
-  std::unordered_map<net::UnitId, UnitReport> reports;
-  /// Streaming assembly state, one digest per expected device.
-  std::unordered_map<net::NodeId, DeviceDigest> digests;
+  /// One digest per device pinned when the round was requested, in device
+  /// registration order. Devices attached later (Section 6, "Node
+  /// attachment") are not part of the round; an excluded device's entry is
+  /// zeroed.
+  std::vector<DeviceDigest> digests;
   std::size_t expected_total = 0;  ///< Relevant units over non-excluded devices.
-  std::size_t received_total = 0;
+  std::size_t received_total = 0;  ///< Stored reports.
   std::vector<net::NodeId> excluded_devices;
   bool complete = false;
   /// True time the observer assembled the last report (or timed out).
   sim::SimTime completed_at = 0;
-  /// Devices (and their relevant unit counts) registered when this snapshot
-  /// was requested. Devices attached later (Section 6, "Node attachment")
-  /// are not part of this snapshot and their reports for it are ignored.
-  std::unordered_map<net::NodeId, std::size_t> expected_devices;
-  /// Per-round duplicate suppression by global unit index; released on
-  /// completion (the digests make re-folding a duplicate unrecoverable).
-  std::vector<bool> seen;
+
+  /// The report unit `u` delivered for this round, or nullptr if it is
+  /// missing, its device was excluded, or it is not part of the round. O(1).
+  [[nodiscard]] const UnitReport* report(const net::UnitId& u) const;
+
+  /// Every stored report, ordered by device registration, then port, then
+  /// direction: UnitId order under core::Network, which registers its
+  /// switches in NodeId order.
+  [[nodiscard]] auto reports() const {
+    return std::views::filter(slots_, &GlobalSnapshot::occupied);
+  }
 
   [[nodiscard]] bool all_consistent() const;
   [[nodiscard]] std::size_t consistent_count() const;
@@ -92,8 +98,20 @@ struct GlobalSnapshot {
   /// count.
   [[nodiscard]] std::uint64_t total_value(bool include_channel) const;
 
-  /// This device's digest, or nullptr if it was excluded / never expected.
-  [[nodiscard]] const DeviceDigest* digest(net::NodeId device) const;
+ private:
+  friend class Observer;
+  static constexpr std::uint32_t kNoDevice = 0xFFFFFFFFu;
+
+  /// Stored reports carry their round's id, which is never 0.
+  static bool occupied(const UnitReport& r) { return r.sid != 0; }
+
+  /// The flat report store: device i owns slots
+  /// [first_slot_[i], first_slot_[i + 1]), indexed within by unit_slot().
+  std::vector<UnitReport> slots_;
+  std::vector<std::size_t> first_slot_{0};
+  /// NodeId -> device index (kNoDevice for other nodes and excluded
+  /// devices).
+  std::vector<std::uint32_t> device_of_node_;
 };
 
 class Observer {
@@ -109,10 +127,19 @@ class Observer {
     /// Fabric-wide wire accounting sink shared by the report links; may be
     /// null.
     WireStats* wire_stats = nullptr;
-    /// Keep per-unit reports in GlobalSnapshot::reports. Off = digests
-    /// only: O(devices) assembly memory per round.
-    bool retain_unit_reports = true;
   };
+
+  /// Why the observer ignored a decoded report; each reason is counted as
+  /// `observer.reports_ignored.<name>`.
+  enum class IgnoreReason : std::uint8_t {
+    UnknownUnit,       ///< Not a unit of the device whose link carried it.
+    OutOfScope,        ///< Outside the sync group (set_scope).
+    UnknownSid,        ///< No round with that id was ever requested.
+    Straggler,         ///< The round already completed or timed out.
+    UnexpectedDevice,  ///< Device attached after the round was requested.
+    Duplicate,         ///< The unit's slot is already filled.
+  };
+  static constexpr std::size_t kIgnoreReasons = 6;
 
   Observer(sim::Simulator& sim, const sim::TimingModel& timing, Options options);
 
@@ -173,23 +200,24 @@ class Observer {
     return reports_dropped_while_down_;
   }
   [[nodiscard]] std::uint8_t wire_session() const { return session_; }
+  [[nodiscard]] std::uint64_t reports_ignored(IgnoreReason why) const {
+    return ignored_[static_cast<std::size_t>(why)];
+  }
 
  private:
   struct Device {
     ControlPlane* cp = nullptr;
     std::vector<net::UnitId> units;
-    sim::Endpoint rpc;  ///< Observer -> device request path.
-    std::size_t first_unit_index = 0;  ///< Global index of units[0].
-    std::size_t relevant_units = 0;    ///< In-scope units (== units.size()
-                                       ///< without a sync-group filter).
-    ReportDecoder decoder;             ///< Report-link receiving end.
+    sim::Endpoint rpc;       ///< Observer -> device request path.
+    ReportDecoder decoder;   ///< Report-link receiving end.
   };
 
   static void report_frame_thunk(void* ctx, std::uint16_t dev_index,
                                  const std::uint8_t* bytes, std::uint8_t len);
   void on_report_frame(std::uint16_t dev_index,
                        std::span<const std::uint8_t> bytes);
-  void on_report(const UnitReport& r);
+  void on_report(std::uint16_t dev_index, const UnitReport& r);
+  void ignore(IgnoreReason why) { ++ignored_[static_cast<std::size_t>(why)]; }
   void check_complete(VirtualSid id);
   void timeout_snapshot(VirtualSid id);
   [[nodiscard]] VirtualSid lowest_outstanding() const;
@@ -201,9 +229,10 @@ class Observer {
 
   std::vector<Device> devices_;
   std::size_t total_units_ = 0;
-  /// Global unit index (dedup bitset coordinate space).
-  std::unordered_map<net::UnitId, std::size_t> unit_index_;
-  /// Sync-group relevancy by global unit index; empty = everything.
+  /// The round every request starts from: the current device set's slot
+  /// layout and in-scope unit counts, no reports.
+  GlobalSnapshot blank_;
+  /// Sync-group relevancy by report slot; empty = everything.
   std::vector<bool> relevant_;
 
   std::map<VirtualSid, GlobalSnapshot> snapshots_;
@@ -212,6 +241,7 @@ class Observer {
   bool down_ = false;
   std::uint8_t session_ = 0;  ///< Wire report-link session (bumps on restart).
   std::uint64_t reports_dropped_while_down_ = 0;
+  std::array<std::uint64_t, kIgnoreReasons> ignored_{};
   std::function<void(const GlobalSnapshot&)> on_complete_;
   /// Scheduled-fire-time -> assembly latency (registry-owned).
   obs::Histogram* completion_latency_ = nullptr;

@@ -112,7 +112,7 @@ TEST(NodeAttachment, LateDeviceJoinsNextSnapshot) {
   const GlobalSnapshot* snap1 = observer.result(*s1);
   ASSERT_NE(snap1, nullptr);
   EXPECT_TRUE(snap1->complete);
-  EXPECT_EQ(snap1->reports.size(), 1u);
+  EXPECT_EQ(snap1->received_total, 1u);
 
   // Device B attaches: state initialized to 0 (Section 6).
   MiniDevice b(sim, timing, 2, config);
@@ -125,7 +125,7 @@ TEST(NodeAttachment, LateDeviceJoinsNextSnapshot) {
   sim.run_until(sim::msec(20));
   // B's report for snapshot 1 is spurious (B was not in the device set):
   // snapshot 1 must be unchanged.
-  EXPECT_EQ(observer.result(*s1)->reports.size(), 1u);
+  EXPECT_EQ(observer.result(*s1)->received_total, 1u);
 
   // Snapshot 2 covers both devices.
   const auto s2 = observer.request_snapshot(sim.now() + sim::msec(1));
@@ -134,7 +134,7 @@ TEST(NodeAttachment, LateDeviceJoinsNextSnapshot) {
   const GlobalSnapshot* snap2 = observer.result(*s2);
   ASSERT_NE(snap2, nullptr);
   EXPECT_TRUE(snap2->complete);
-  EXPECT_EQ(snap2->reports.size(), 2u);
+  EXPECT_EQ(snap2->received_total, 2u);
   EXPECT_TRUE(snap2->excluded_devices.empty());
 }
 
@@ -162,7 +162,7 @@ TEST(NodeAttachment, OutstandingSnapshotUnaffectedByAttachment) {
   // blocks completion nor is reported missing.
   EXPECT_TRUE(snap1->complete);
   EXPECT_TRUE(snap1->excluded_devices.empty());
-  EXPECT_EQ(snap1->reports.size(), 1u);
+  EXPECT_EQ(snap1->received_total, 1u);
 }
 
 }  // namespace

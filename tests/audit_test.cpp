@@ -90,11 +90,11 @@ TEST(AuditConservation, InternalChannelsConserveFlow) {
       const auto ports = net.switch_at(swid).options().num_ports;
       for (net::PortId p = 0; p < ports; ++p) {
         ASSERT_EQ(audit.drops(swid, p), 0u);
-        const auto it = snap->reports.find({swid, p, net::Direction::Egress});
-        ASSERT_NE(it, snap->reports.end());
-        if (!it->second.consistent) continue;
+        const auto* it = snap->report({swid, p, net::Direction::Egress});
+        ASSERT_NE(it, nullptr);
+        if (!it->consistent) continue;
         EXPECT_EQ(audit.sent_pre(swid, p, snap->id),
-                  it->second.local_value + it->second.channel_value)
+                  it->local_value + it->channel_value)
             << "snapshot " << snap->id << " switch " << swid << " port " << p;
       }
     }
@@ -162,12 +162,11 @@ TEST(CosChannels, TwoClassSnapshotStaysConsistent) {
   for (const auto* snap : results) {
     EXPECT_TRUE(snap->all_consistent());
     // Trunk conservation, same as the single-class case.
-    const auto eg = snap->reports.find({0, 2, net::Direction::Egress});
-    const auto in = snap->reports.find({1, 1, net::Direction::Ingress});
-    ASSERT_NE(eg, snap->reports.end());
-    ASSERT_NE(in, snap->reports.end());
-    EXPECT_EQ(eg->second.local_value,
-              in->second.local_value + in->second.channel_value);
+    const auto* eg = snap->report({0, 2, net::Direction::Egress});
+    const auto* in = snap->report({1, 1, net::Direction::Ingress});
+    ASSERT_NE(eg, nullptr);
+    ASSERT_NE(in, nullptr);
+    EXPECT_EQ(eg->local_value, in->local_value + in->channel_value);
   }
 }
 

@@ -5,7 +5,10 @@
 // fails here with the exact scenario attached.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,19 @@ TEST(CorpusReplay, CorpusIsNonEmpty) {
   EXPECT_GE(corpus_files().size(), 3u);
 }
 
+/// End-state digest of each corpus scenario, as `speedlight_fuzz --replay`
+/// prints it (with the oracle twin). A change to the simulated behaviour
+/// moves these; a refactor must not.
+const std::map<std::string, std::uint64_t> kPinnedDigests = {
+    {"compactts_leafspine_epoch_rollover", 0xb2e26f27cff504e8},
+    {"fabric_k16_incast", 0x819a6007460f99e1},
+    {"rollover_fattree_observer_down", 0x9d13b50431bacf12},
+    {"rollover_leafspine_cpu_spike", 0x572b7da7255650cf},
+    {"rollover_line_nocs_cpu_spike", 0xb33d8b7524a9a58e},
+    {"rollover_ring_link_flap", 0x52573c9f35d62b1d},
+    {"rollover_ring_notif_burst", 0xe577ae655f7daf83},
+};
+
 TEST(CorpusReplay, EveryScenarioReplaysClean) {
   for (const auto& path : corpus_files()) {
     SCOPED_TRACE(path);
@@ -43,6 +59,10 @@ TEST(CorpusReplay, EveryScenarioReplaysClean) {
         << s.label() << ": " << r.violations.front().invariant << ": "
         << r.violations.front().detail;
     EXPECT_GT(r.completed, 0u) << s.label();
+    const auto pinned =
+        kPinnedDigests.find(std::filesystem::path(path).stem().string());
+    ASSERT_NE(pinned, kPinnedDigests.end()) << "no pinned digest";
+    EXPECT_EQ(r.digest, pinned->second) << std::hex << r.digest;
   }
 }
 

@@ -82,13 +82,13 @@ TEST(Ecn, MarkCountersSnapshotConsistently) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->complete);
   EXPECT_TRUE(snap->all_consistent());
-  const auto it = snap->reports.find({0, 2, net::Direction::Egress});
-  ASSERT_NE(it, snap->reports.end());
-  EXPECT_GT(it->second.local_value, 50u);  // Marks visible in the snapshot.
+  const auto* it = snap->report({0, 2, net::Direction::Egress});
+  ASSERT_NE(it, nullptr);
+  EXPECT_GT(it->local_value, 50u);  // Marks visible in the snapshot.
   // Only the congested egress unit marks; others report zero.
-  const auto quiet = snap->reports.find({0, 0, net::Direction::Egress});
-  ASSERT_NE(quiet, snap->reports.end());
-  EXPECT_EQ(quiet->second.local_value, 0u);
+  const auto* quiet = snap->report({0, 0, net::Direction::Egress});
+  ASSERT_NE(quiet, nullptr);
+  EXPECT_EQ(quiet->local_value, 0u);
 }
 
 }  // namespace

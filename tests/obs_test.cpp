@@ -374,7 +374,7 @@ TEST(SnapshotTimeline, CausalOrderingHoldsOnALiveNetwork) {
 
   // Every unit the observer collected must appear, causally ordered:
   // initiation <= capture <= notify <= cpu_process <= collect.
-  EXPECT_EQ(tl.units.size(), snap->reports.size());
+  EXPECT_EQ(tl.units.size(), snap->received_total);
   EXPECT_TRUE(tl.causally_ordered());
   for (const auto& u : tl.units) {
     EXPECT_TRUE(u.causally_ordered())

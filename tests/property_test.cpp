@@ -102,23 +102,22 @@ TEST_P(SnapshotProperty, ConservationCompletenessMonotonicity) {
                               net::Direction::Ingress};
       for (const auto& [eg, in] :
            {std::pair{eg_ab, in_ab}, std::pair{eg_ba, in_ba}}) {
-        const auto e = snap->reports.find(eg);
-        const auto i = snap->reports.find(in);
-        ASSERT_NE(e, snap->reports.end());
-        ASSERT_NE(i, snap->reports.end());
-        if (!e->second.consistent || !i->second.consistent) continue;
-        EXPECT_EQ(e->second.local_value,
-                  i->second.local_value + i->second.channel_value)
+        const auto* e = snap->report(eg);
+        const auto* i = snap->report(in);
+        ASSERT_NE(e, nullptr);
+        ASSERT_NE(i, nullptr);
+        if (!e->consistent || !i->consistent) continue;
+        EXPECT_EQ(e->local_value, i->local_value + i->channel_value)
             << "snapshot " << snap->id;
       }
     }
 
     // Monotonicity across snapshots, per unit.
     if (prev != nullptr) {
-      for (const auto& [unit, report] : snap->reports) {
-        const auto before = prev->reports.find(unit);
-        ASSERT_NE(before, prev->reports.end());
-        EXPECT_GE(report.local_value, before->second.local_value);
+      for (const auto& r : snap->reports()) {
+        const auto* before = prev->report(r.unit);
+        ASSERT_NE(before, nullptr);
+        EXPECT_GE(r.local_value, before->local_value);
       }
     }
     prev = snap;
@@ -180,13 +179,11 @@ TEST_P(ModeEquivalence, IdenticalReportsWithoutSkips) {
     auto gens = start_traffic(*net, GetParam());
     net->run_for(sim::msec(2));
     const auto campaign = core::run_snapshot_campaign(*net, 5, sim::msec(3));
-    std::vector<std::vector<std::pair<net::UnitId, snap::UnitReport>>> out;
+    // Both runs lay the store out identically, so reports line up by index.
+    std::vector<std::vector<snap::UnitReport>> out;
     for (const auto* snap : campaign.results(*net)) {
-      std::vector<std::pair<net::UnitId, snap::UnitReport>> sorted(
-          snap->reports.begin(), snap->reports.end());
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      out.push_back(std::move(sorted));
+      auto& reports = out.emplace_back();
+      for (const auto& r : snap->reports()) reports.push_back(r);
     }
     return out;
   };
@@ -198,12 +195,11 @@ TEST_P(ModeEquivalence, IdenticalReportsWithoutSkips) {
   for (std::size_t s = 0; s < hw.size(); ++s) {
     ASSERT_EQ(hw[s].size(), ideal[s].size());
     for (std::size_t u = 0; u < hw[s].size(); ++u) {
-      EXPECT_EQ(hw[s][u].first, ideal[s][u].first);
-      EXPECT_EQ(hw[s][u].second.consistent, ideal[s][u].second.consistent);
-      if (hw[s][u].second.consistent) {
-        EXPECT_EQ(hw[s][u].second.local_value, ideal[s][u].second.local_value);
-        EXPECT_EQ(hw[s][u].second.channel_value,
-                  ideal[s][u].second.channel_value);
+      EXPECT_EQ(hw[s][u].unit, ideal[s][u].unit);
+      EXPECT_EQ(hw[s][u].consistent, ideal[s][u].consistent);
+      if (hw[s][u].consistent) {
+        EXPECT_EQ(hw[s][u].local_value, ideal[s][u].local_value);
+        EXPECT_EQ(hw[s][u].channel_value, ideal[s][u].channel_value);
       }
     }
   }
@@ -268,12 +264,11 @@ TEST_P(LossyCorrectness, ConsistentReportsRemainExact) {
                            net::Direction::Egress};
       const net::UnitId in{static_cast<net::NodeId>(t.switch_b), t.port_b,
                            net::Direction::Ingress};
-      const auto e = snap->reports.find(eg);
-      const auto i = snap->reports.find(in);
-      if (e == snap->reports.end() || i == snap->reports.end()) continue;
-      if (!e->second.consistent || !i->second.consistent) continue;
-      EXPECT_EQ(e->second.local_value,
-                i->second.local_value + i->second.channel_value)
+      const auto* e = snap->report(eg);
+      const auto* i = snap->report(in);
+      if (e == nullptr || i == nullptr) continue;
+      if (!e->consistent || !i->consistent) continue;
+      EXPECT_EQ(e->local_value, i->local_value + i->channel_value)
           << "snapshot " << snap->id;
       ++checked;
     }

@@ -81,9 +81,9 @@ TEST(Sampling, SampledEstimateHasErrorSnapshotDoesNot) {
   net.run_for(sim::msec(20));
   const auto* snap = net.take_snapshot();
   ASSERT_NE(snap, nullptr);
-  const auto it = snap->reports.find({0, 0, net::Direction::Ingress});
-  ASSERT_NE(it, snap->reports.end());
-  EXPECT_EQ(it->second.local_value, 5000u);  // Exact.
+  const auto* it = snap->report({0, 0, net::Direction::Ingress});
+  ASSERT_NE(it, nullptr);
+  EXPECT_EQ(it->local_value, 5000u);  // Exact.
   const auto est = collector.estimated_packets(0, 0);
   EXPECT_NE(est, 5000u);  // With overwhelming probability.
   EXPECT_NEAR(static_cast<double>(est), 5000.0, 2000.0);  // But in the zone.

@@ -52,7 +52,7 @@ TEST(Scale, FatTree6ChannelStateSnapshot) {
   EXPECT_TRUE(snap->complete);
   EXPECT_TRUE(snap->excluded_devices.empty());
   // 45 switches x 6 ports x 2 directions.
-  EXPECT_EQ(snap->reports.size(), 540u);
+  EXPECT_EQ(snap->received_total, 540u);
 }
 
 TEST(Scale, FatTree6Conservation) {
@@ -83,12 +83,11 @@ TEST(Scale, FatTree6Conservation) {
       const auto sb = static_cast<net::NodeId>(fwd ? t.switch_b : t.switch_a);
       const auto pa = fwd ? t.port_a : t.port_b;
       const auto pb = fwd ? t.port_b : t.port_a;
-      const auto e = snap->reports.find({sa, pa, net::Direction::Egress});
-      const auto i = snap->reports.find({sb, pb, net::Direction::Ingress});
-      ASSERT_NE(e, snap->reports.end());
-      ASSERT_NE(i, snap->reports.end());
-      EXPECT_EQ(e->second.local_value,
-                i->second.local_value + i->second.channel_value);
+      const auto* e = snap->report({sa, pa, net::Direction::Egress});
+      const auto* i = snap->report({sb, pb, net::Direction::Ingress});
+      ASSERT_NE(e, nullptr);
+      ASSERT_NE(i, nullptr);
+      EXPECT_EQ(e->local_value, i->local_value + i->channel_value);
       ++checked;
     }
   }
@@ -146,14 +145,13 @@ TEST(FeatureInteraction, EverythingOnAtOnce) {
   for (const auto* snap : results) {
     EXPECT_TRUE(snap->all_consistent());
     for (const auto& t : net.spec().trunks) {
-      const auto e = snap->reports.find(
+      const auto* e = snap->report(
           {static_cast<net::NodeId>(t.switch_a), t.port_a, net::Direction::Egress});
-      const auto i = snap->reports.find(
+      const auto* i = snap->report(
           {static_cast<net::NodeId>(t.switch_b), t.port_b, net::Direction::Ingress});
-      ASSERT_NE(e, snap->reports.end());
-      ASSERT_NE(i, snap->reports.end());
-      EXPECT_EQ(e->second.local_value,
-                i->second.local_value + i->second.channel_value);
+      ASSERT_NE(e, nullptr);
+      ASSERT_NE(i, nullptr);
+      EXPECT_EQ(e->local_value, i->local_value + i->channel_value);
     }
   }
   // The side-channels all saw traffic too.
@@ -221,7 +219,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_TRUE(snap->complete);
   EXPECT_TRUE(snap->excluded_devices.empty());
   // 1,280 switches x 32 ports x 2 directions.
-  EXPECT_EQ(snap->reports.size(), 81920u);
+  EXPECT_EQ(snap->received_total, 81920u);
   // The probe flood touches every switch port — and is allowed to.
   EXPECT_EQ(net.materialized_ports(), 40960u);
   const std::int64_t rss_after =

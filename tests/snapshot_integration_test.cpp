@@ -3,6 +3,7 @@
 // wraparound, partial deployment, and device exclusion.
 #include <gtest/gtest.h>
 
+#include <ranges>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -56,13 +57,12 @@ void expect_conservation(const Network& net, const snap::GlobalSnapshot& snap) {
          {static_cast<net::NodeId>(t.switch_a), t.port_a, net::Direction::Ingress}},
     };
     for (const auto& d : dirs) {
-      const auto eg = snap.reports.find(d.egress);
-      const auto in = snap.reports.find(d.ingress);
-      ASSERT_NE(eg, snap.reports.end());
-      ASSERT_NE(in, snap.reports.end());
-      if (!eg->second.consistent || !in->second.consistent) continue;
-      EXPECT_EQ(eg->second.local_value,
-                in->second.local_value + in->second.channel_value)
+      const auto* eg = snap.report(d.egress);
+      const auto* in = snap.report(d.ingress);
+      ASSERT_NE(eg, nullptr);
+      ASSERT_NE(in, nullptr);
+      if (!eg->consistent || !in->consistent) continue;
+      EXPECT_EQ(eg->local_value, in->local_value + in->channel_value)
           << "snapshot " << snap.id << " trunk " << t.switch_a << ":"
           << t.port_a << " -> " << t.switch_b << ":" << t.port_b;
     }
@@ -79,7 +79,7 @@ TEST(SnapshotIntegration, NoCsSnapshotCompletesQuickly) {
   EXPECT_TRUE(snap->excluded_devices.empty());
   EXPECT_TRUE(snap->all_consistent());
   // 4 switches: (5+5+2+2)*2 = 28 units.
-  EXPECT_EQ(snap->reports.size(), 28u);
+  EXPECT_EQ(snap->received_total, 28u);
   // Near-synchronous: all units advanced within < 100us (Section 3).
   EXPECT_LT(snap->advance_span(), sim::usec(100));
   EXPECT_GT(snap->total_value(false), 0u);
@@ -115,10 +115,10 @@ TEST(SnapshotIntegration, CampaignValuesMonotone) {
   const auto results = campaign.results(net);
   ASSERT_EQ(results.size(), 10u);
   for (std::size_t i = 1; i < results.size(); ++i) {
-    for (const auto& [unit, report] : results[i]->reports) {
-      const auto prev = results[i - 1]->reports.find(unit);
-      ASSERT_NE(prev, results[i - 1]->reports.end());
-      EXPECT_GE(report.local_value, prev->second.local_value);
+    for (const auto& r : results[i]->reports()) {
+      const auto* prev = results[i - 1]->report(r.unit);
+      ASSERT_NE(prev, nullptr);
+      EXPECT_GE(r.local_value, prev->local_value);
     }
   }
 }
@@ -197,7 +197,7 @@ TEST(SnapshotIntegration, PartialDeploymentNoCs) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->complete);
   // 3 enabled switches: (5+5+2)*2 = 24 units.
-  EXPECT_EQ(snap->reports.size(), 24u);
+  EXPECT_EQ(snap->received_total, 24u);
   EXPECT_TRUE(snap->all_consistent());
   // Hosts never see headers even with a disabled transit switch.
   for (std::size_t h = 0; h < net.num_hosts(); ++h) {
@@ -222,12 +222,11 @@ TEST(SnapshotIntegration, PartialDeploymentCsChainConservation) {
   EXPECT_TRUE(snap->all_consistent());
   // Conservation across the *logical* channel s0.egress(2) -> s2.ingress(1):
   // the disabled middle neither counts nor drops.
-  const auto eg = snap->reports.find({0, 2, net::Direction::Egress});
-  const auto in = snap->reports.find({2, 1, net::Direction::Ingress});
-  ASSERT_NE(eg, snap->reports.end());
-  ASSERT_NE(in, snap->reports.end());
-  EXPECT_EQ(eg->second.local_value,
-            in->second.local_value + in->second.channel_value);
+  const auto* eg = snap->report({0, 2, net::Direction::Egress});
+  const auto* in = snap->report({2, 1, net::Direction::Ingress});
+  ASSERT_NE(eg, nullptr);
+  ASSERT_NE(in, nullptr);
+  EXPECT_EQ(eg->local_value, in->local_value + in->channel_value);
 }
 
 TEST(SnapshotIntegration, HungDeviceExcludedAtTimeout) {
@@ -243,7 +242,43 @@ TEST(SnapshotIntegration, HungDeviceExcludedAtTimeout) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->complete);
   EXPECT_EQ(snap->excluded_devices.size(), 2u);
-  EXPECT_TRUE(snap->reports.empty());
+  EXPECT_EQ(snap->received_total, 0u);
+  EXPECT_TRUE(std::ranges::empty(snap->reports()));
+}
+
+TEST(SnapshotIntegration, LateReportsOfTimedOutDevicesAreStragglers) {
+  // The hung round above, then traffic: its markers close the stalled
+  // channels, and the units' late reports reach the observer after the
+  // timeout. They are counted as stragglers and do not re-enter the round.
+  NetworkOptions opt = cs_options();
+  opt.control.auto_reinitiate = false;
+  opt.force_probe_liveness = false;
+  opt.observer.completion_timeout = sim::msec(30);
+  Network net(net::make_line(2), opt);
+  const snap::GlobalSnapshot* snap =
+      net.take_snapshot(sim::msec(1), sim::msec(100));
+  ASSERT_NE(snap, nullptr);
+  ASSERT_TRUE(snap->complete);
+  ASSERT_EQ(snap->excluded_devices.size(), 2u);
+  const auto& observer = net.observer();
+  using Reason = snap::Observer::IgnoreReason;
+  EXPECT_EQ(observer.reports_ignored(Reason::Straggler), 0u);
+
+  wl::CbrGenerator right(net.simulator(), net.host(0), net.host_id(1), 1, 1e9,
+                         1000);
+  wl::CbrGenerator left(net.simulator(), net.host(1), net.host_id(0), 2, 1e9,
+                        1000);
+  right.start(net.now());
+  left.start(net.now());
+  net.run_for(sim::msec(5));
+
+  EXPECT_GT(observer.reports_ignored(Reason::Straggler), 0u);
+  EXPECT_EQ(observer.reports_ignored(Reason::Duplicate), 0u);
+  EXPECT_EQ(snap->received_total, 0u);
+  EXPECT_TRUE(std::ranges::empty(snap->reports()));
+  EXPECT_EQ(snap->report({0, 1, net::Direction::Ingress}), nullptr);
+  EXPECT_EQ(snap->total_value(true), 0u);
+  EXPECT_TRUE(net.metrics().contains("observer.reports_ignored.straggler"));
 }
 
 TEST(SnapshotIntegration, RolloverWindowRefusesOverrun) {
@@ -289,9 +324,7 @@ TEST(SnapshotIntegration, EwmaMetricSnapshotConsistent) {
   EXPECT_TRUE(snap->complete);
   // Loaded units report a plausible interarrival EWMA.
   std::size_t nonzero = 0;
-  for (const auto& [unit, r] : snap->reports) {
-    nonzero += r.local_value > 0;
-  }
+  for (const auto& r : snap->reports()) nonzero += r.local_value > 0;
   EXPECT_GT(nonzero, 10u);
 }
 

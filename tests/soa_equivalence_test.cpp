@@ -131,8 +131,10 @@ std::vector<RoundSummary> campaign(const check::Scenario& s) {
     r.finalize_span = g->finalize_span();
     r.excluded = g->excluded_devices.size();
     r.digested_devices = g->digests.size();
-    for (const auto& [unit, rep] : g->reports) {
-      if (rep.consistent) r.values[unit] = {rep.local_value, rep.channel_value};
+    for (const auto& rep : g->reports()) {
+      if (rep.consistent) {
+        r.values[rep.unit] = {rep.local_value, rep.channel_value};
+      }
     }
     out.push_back(std::move(r));
   }

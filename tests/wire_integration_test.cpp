@@ -3,10 +3,11 @@
 // DeltaV2 produces snapshot results identical to the FullV2 reference —
 // charged FullV2 frames cost exactly the reference service time, and with
 // charged DeltaV2 (the default) the values (as opposed to the timings) are
-// still exact. Also covers streaming digests vs retained reports,
+// still exact. Also covers the digests vs the stored reports,
 // sync-group scoping, and observer restart across the wire session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -77,8 +78,8 @@ SnapSummary summarize(const snap::GlobalSnapshot& s) {
   out.advance_span = s.advance_span();
   out.finalize_span = s.finalize_span();
   out.excluded = s.excluded_devices.size();
-  for (const auto& [unit, r] : s.reports) {
-    if (r.consistent) out.values[unit] = {r.local_value, r.channel_value};
+  for (const auto& r : s.reports()) {
+    if (r.consistent) out.values[r.unit] = {r.local_value, r.channel_value};
   }
   return out;
 }
@@ -188,14 +189,13 @@ TEST(WireIntegration, ChargedDeltaConservesAndRegistersMetrics) {
   // move the timeline but can never corrupt the counts.
   for (std::size_t t = 0; t < net.spec().trunks.size(); ++t) {
     const auto& trunk = net.spec().trunks[t];
-    const auto eg = snap->reports.find({static_cast<net::NodeId>(trunk.switch_a),
-                                        trunk.port_a, net::Direction::Egress});
-    const auto in = snap->reports.find({static_cast<net::NodeId>(trunk.switch_b),
-                                        trunk.port_b, net::Direction::Ingress});
-    ASSERT_NE(eg, snap->reports.end());
-    ASSERT_NE(in, snap->reports.end());
-    EXPECT_EQ(eg->second.local_value,
-              in->second.local_value + in->second.channel_value)
+    const auto* eg = snap->report({static_cast<net::NodeId>(trunk.switch_a),
+                                   trunk.port_a, net::Direction::Egress});
+    const auto* in = snap->report({static_cast<net::NodeId>(trunk.switch_b),
+                                   trunk.port_b, net::Direction::Ingress});
+    ASSERT_NE(eg, nullptr);
+    ASSERT_NE(in, nullptr);
+    EXPECT_EQ(eg->local_value, in->local_value + in->channel_value)
         << "trunk " << t;
   }
   // The wire.* accounting series is registered and live.
@@ -208,35 +208,66 @@ TEST(WireIntegration, ChargedDeltaConservesAndRegistersMetrics) {
 }
 
 TEST(WireIntegration, DigestsMatchRetainedReports) {
-  NetworkOptions retained = base_options();
-  retained.wire.charge_bytes = false;
-
-  NetworkOptions streaming = retained;
-  streaming.observer.retain_unit_reports = false;
-
-  const auto ref = run_campaign(retained, 4);
-
-  Network net(net::make_leaf_spine(2, 2, 3), streaming);
+  // Every digest getter equals the same aggregate recomputed from the
+  // round's stored reports, fabric-wide and per device.
+  Network net(net::make_leaf_spine(2, 2, 3), base_options());
   auto gens = start_all_to_all(net);
   net.run_for(sim::msec(2));
   const auto campaign = core::run_snapshot_campaign(net, 4, sim::msec(3));
   const auto results = campaign.results(net);
-  ASSERT_EQ(results.size(), ref.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& s = *results[i];
-    // Digest-only assembly: no retained reports, aggregate getters agree
-    // with the retained twin.
-    EXPECT_TRUE(s.reports.empty()) << i;
-    EXPECT_TRUE(s.complete) << i;
-    EXPECT_EQ(s.completed_at, ref[i].completed_at) << i;
-    EXPECT_EQ(s.consistent_count(), ref[i].consistent) << i;
-    EXPECT_EQ(s.total_value(false), ref[i].local_total) << i;
-    EXPECT_EQ(s.total_value(true), ref[i].full_total) << i;
-    EXPECT_EQ(s.advance_span(), ref[i].advance_span) << i;
-    EXPECT_EQ(s.finalize_span(), ref[i].finalize_span) << i;
-    EXPECT_GT(s.latest_advance(), 0u) << i;
-    // Per-device digests cover every registered switch.
-    EXPECT_EQ(s.digests.size(), net.num_switches());
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto* s : results) {
+    struct Sums {
+      std::size_t received = 0;
+      std::size_t consistent = 0;
+      std::size_t inferred = 0;
+      std::uint64_t local = 0;
+      std::uint64_t channel = 0;
+    };
+    Sums all;
+    std::map<net::NodeId, Sums> per_device;
+    sim::SimTime adv_lo = 0, adv_hi = 0, fin_lo = 0, fin_hi = 0;
+    auto extend = [](sim::SimTime t, sim::SimTime& lo, sim::SimTime& hi) {
+      if (t == 0) return;
+      lo = lo == 0 ? t : std::min(lo, t);
+      hi = std::max(hi, t);
+    };
+    for (const auto& r : s->reports()) {
+      for (Sums* sums : {&all, &per_device[r.unit.node]}) {
+        ++sums->received;
+        sums->inferred += r.inferred ? 1 : 0;
+        if (r.consistent) {
+          ++sums->consistent;
+          sums->local += r.local_value;
+          sums->channel += r.channel_value;
+        }
+      }
+      extend(r.advance_time, adv_lo, adv_hi);
+      extend(r.finalize_time, fin_lo, fin_hi);
+    }
+    EXPECT_TRUE(s->complete);
+    EXPECT_EQ(s->received_total, all.received);
+    EXPECT_EQ(s->expected_total, all.received);
+    EXPECT_EQ(s->consistent_count(), all.consistent);
+    EXPECT_EQ(s->all_consistent(), all.consistent == all.received);
+    EXPECT_EQ(s->total_value(false), all.local);
+    EXPECT_EQ(s->total_value(true), all.local + all.channel);
+    EXPECT_EQ(s->advance_span(), adv_hi - adv_lo);
+    EXPECT_EQ(s->finalize_span(), fin_hi - fin_lo);
+    EXPECT_EQ(s->latest_advance(), adv_hi);
+    // One digest per switch (registered in NodeId order), each matching
+    // its own reports.
+    ASSERT_EQ(s->digests.size(), net.num_switches());
+    for (net::NodeId sw = 0; sw < net.num_switches(); ++sw) {
+      const auto& d = s->digests[sw];
+      const Sums& mine = per_device[sw];
+      EXPECT_EQ(d.expected, mine.received);
+      EXPECT_EQ(d.received, mine.received);
+      EXPECT_EQ(d.consistent, mine.consistent);
+      EXPECT_EQ(d.inferred, mine.inferred);
+      EXPECT_EQ(d.local_sum, mine.local);
+      EXPECT_EQ(d.channel_sum, mine.channel);
+    }
   }
 }
 
@@ -262,9 +293,9 @@ TEST(WireIntegration, SyncGroupScopeFiltersReportsAtTheSource) {
   EXPECT_TRUE(ingress->complete);
   EXPECT_TRUE(ingress->excluded_devices.empty());
   EXPECT_EQ(ingress->expected_total, 14u);
-  EXPECT_EQ(ingress->reports.size(), 14u);
-  for (const auto& [unit, r] : ingress->reports) {
-    EXPECT_EQ(unit.direction, net::Direction::Ingress);
+  EXPECT_EQ(ingress->received_total, 14u);
+  for (const auto& r : ingress->reports()) {
+    EXPECT_EQ(r.unit.direction, net::Direction::Ingress);
   }
   // Out-of-scope reports were dropped at the control planes, not shipped
   // and discarded at the observer. Completion only waited on the 14
