@@ -91,10 +91,11 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
 //   * memory accounting from the SoA/lazy-port core: RSS growth across
 //     construction, process peak RSS, and how many ports a workload-free
 //     snapshot round actually materializes,
-//   * assembly accounting (DESIGN.md section 16.4): the observer folds
-//     unit reports into per-device digests as they arrive, so a round's
+//   * assembly accounting (DESIGN.md section 16): the observer folds unit
+//     reports into per-device digests as they arrive, so a round's
 //     aggregates are one entry per switch and the assembly tail stays flat
-//     as the fabric grows.
+//     as the fabric grows; the reports themselves are kept in a store of
+//     GlobalSnapshot::kSlotBytes per unit slot.
 struct FatTreeRound {
   double spread_us = 0;
   double assemble_us = 0;
@@ -125,6 +126,7 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
 
   stats::Summary spread, capture, assemble;
   std::size_t assembly_entries = 0;
+  std::size_t store_bytes = 0;
   for (const auto* snap : campaign.results(net)) {
     spread.add(sim::to_usec(snap->advance_span()));
     const sim::SimTime last_advance =
@@ -132,6 +134,7 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
     capture.add(sim::to_usec(last_advance - snap->scheduled_at));
     assemble.add(sim::to_usec(snap->completed_at - last_advance));
     assembly_entries += snap->digests.size();
+    store_bytes += snap->store_bytes();
     ++out.completed;
   }
   out.spread_us = spread.mean();
@@ -161,13 +164,18 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
                 static_cast<double>(out.mat_before));
   report.metric(prefix + ".materialized_ports_after",
                 static_cast<double>(net.materialized_ports()));
-  // Streaming assembly: per-round observer state is one digest per device
-  // (units fold in and are dropped), so entries == switches x rounds.
+  // Streaming assembly: each unit report folds into its device's digest as
+  // it arrives, so the aggregates are one entry per device per round.
+  const auto per_round = [&](std::size_t total) {
+    return out.completed == 0 ? 0.0
+                              : static_cast<double>(total) /
+                                    static_cast<double>(out.completed);
+  };
   report.metric(prefix + ".assembly_entries_per_round",
-                out.completed == 0
-                    ? 0.0
-                    : static_cast<double>(assembly_entries) /
-                          static_cast<double>(out.completed));
+                per_round(assembly_entries));
+  // The retained reports: slots x bytes per slot, a deterministic count.
+  report.metric(prefix + ".report_store_bytes_per_round",
+                per_round(store_bytes));
 
   std::cout << "  k=" << k << "\t" << net.spec().switches.size()
             << " switches\t" << out.completed << "/" << snapshots

@@ -64,9 +64,9 @@ int main() {
     for (std::size_t s = 0; s < net.num_switches(); ++s) {
       // Any ingress unit of the switch carries the last-stamped version.
       for (net::PortId p = 0; p < net.switch_at(s).options().num_ports; ++p) {
-        const auto* it = snap.report(
+        const auto it = snap.report(
             {static_cast<net::NodeId>(s), p, net::Direction::Ingress});
-        if (it == nullptr || !it->consistent) continue;
+        if (!it || !it->consistent) continue;
         const auto v = it->local_value;
         const auto h = history[s].find(v);
         if (h != history[s].end()) next_hop[s] = h->second;

@@ -57,9 +57,9 @@ trunk core 1 edge1 2
   // The headline property survives the legacy hop: counts at edge0's
   // trunk egress match edge1's trunk ingress plus in-flight state on the
   // *logical* channel spanning the core.
-  const auto* eg = snap->report({0, 2, net::Direction::Egress});
-  const auto* in = snap->report({2, 2, net::Direction::Ingress});
-  if (eg == nullptr || in == nullptr) {
+  const auto eg = snap->report({0, 2, net::Direction::Egress});
+  const auto in = snap->report({2, 2, net::Direction::Ingress});
+  if (!eg || !in) {
     std::cerr << "missing reports\n";
     return 1;
   }

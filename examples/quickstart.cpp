@@ -59,8 +59,8 @@ int main() {
     std::cout << "  " << net.switch_at(swid).name() << ":";
     const auto ports = net.switch_at(swid).options().num_ports;
     for (net::PortId p = 0; p < ports; ++p) {
-      const auto* it = snapshot->report({swid, p, net::Direction::Ingress});
-      if (it != nullptr) {
+      const auto it = snapshot->report({swid, p, net::Direction::Ingress});
+      if (it) {
         std::cout << " " << it->local_value;
       }
     }

@@ -266,8 +266,8 @@ int main(int argc, char** argv) {
                   << net.switch_at(swid).name() << std::right;
         const auto ports = net.switch_at(swid).options().num_ports;
         for (net::PortId p = 0; p < ports; ++p) {
-          const auto* it = last->report({swid, p, net::Direction::Ingress});
-          if (it != nullptr) {
+          const auto it = last->report({swid, p, net::Direction::Ingress});
+          if (it) {
             std::cout << " " << std::setw(8)
                       << (it->consistent
                               ? std::to_string(it->local_value)

@@ -106,9 +106,9 @@ void ConsistencyChecker::check_conservation(const snap::GlobalSnapshot& s,
       const auto sb = static_cast<net::NodeId>(a_to_b ? tr.switch_b : tr.switch_a);
       const auto pa = a_to_b ? tr.port_a : tr.port_b;
       const auto pb = a_to_b ? tr.port_b : tr.port_a;
-      const auto* eg = s.report({sa, pa, net::Direction::Egress});
-      const auto* in = s.report({sb, pb, net::Direction::Ingress});
-      if (eg == nullptr || in == nullptr) continue;
+      const auto eg = s.report({sa, pa, net::Direction::Egress});
+      const auto in = s.report({sb, pb, net::Direction::Ingress});
+      if (!eg || !in) continue;
       if (!eg->consistent || !in->consistent) continue;
 
       const std::uint64_t sent = eg->local_value;
@@ -150,8 +150,8 @@ void ConsistencyChecker::check_monotonicity(const snap::GlobalSnapshot& prev,
                                             std::vector<Violation>& out) {
   for (const auto& r : cur.reports()) {
     if (!r.consistent || r.inferred) continue;
-    const auto* before = prev.report(r.unit);
-    if (before == nullptr || !before->consistent || before->inferred) continue;
+    const auto before = prev.report(r.unit);
+    if (!before || !before->consistent || before->inferred) continue;
     if (r.local_value < before->local_value) {
       std::ostringstream os;
       os << unit_str(r.unit) << " went from " << before->local_value
@@ -166,8 +166,8 @@ void ConsistencyChecker::check_advance_order(const snap::GlobalSnapshot& prev,
                                              std::vector<Violation>& out) {
   for (const auto& r : cur.reports()) {
     if (r.advance_time == 0) continue;
-    const auto* before = prev.report(r.unit);
-    if (before == nullptr || before->advance_time == 0) continue;
+    const auto before = prev.report(r.unit);
+    if (!before || before->advance_time == 0) continue;
     if (r.advance_time < before->advance_time) {
       std::ostringstream os;
       os << unit_str(r.unit) << " advanced to id " << cur.id << " at "
@@ -188,8 +188,8 @@ void ConsistencyChecker::check_oracle(
     const auto& id_snap = ideal_it->second;
     for (const auto& r : hw.reports()) {
       if (!r.consistent || r.inferred) continue;
-      const auto* o = id_snap.report(r.unit);
-      if (o == nullptr || !o->consistent || o->inferred) continue;
+      const auto o = id_snap.report(r.unit);
+      if (!o || !o->consistent || o->inferred) continue;
       if (r.local_value != o->local_value ||
           r.channel_value != o->channel_value) {
         std::ostringstream os;

@@ -69,8 +69,8 @@ bool extract_values(const snap::GlobalSnapshot& snap,
   out.clear();
   out.reserve(units.size());
   for (const auto& unit : units) {
-    const auto* r = snap.report(unit);
-    if (r == nullptr || !r->consistent) return false;
+    const auto r = snap.report(unit);
+    if (!r || !r->consistent) return false;
     out.push_back(static_cast<double>(r->local_value));
   }
   return true;
@@ -102,8 +102,8 @@ std::vector<UnitDelta> snapshot_deltas(const snap::GlobalSnapshot& from,
       sim::to_sec(to.scheduled_at - from.scheduled_at);
   for (const auto& after : to.reports()) {
     if (!after.consistent) continue;
-    const auto* before = from.report(after.unit);
-    if (before == nullptr || !before->consistent) continue;
+    const auto before = from.report(after.unit);
+    if (!before || !before->consistent) continue;
     if (after.local_value < before->local_value) continue;  // Not monotone.
     UnitDelta d;
     d.unit = after.unit;

@@ -7,6 +7,18 @@
 
 namespace speedlight::snap {
 
+/// Device i owns report slots [first_slot[i], first_slot[i + 1]), indexed
+/// within by unit_slot(). Devices only ever append, so every layout is a
+/// prefix of the next. Immutable once a round shares it.
+struct RoundLayout {
+  static constexpr std::uint32_t kNoDevice = 0xFFFFFFFFu;
+
+  std::vector<std::size_t> first_slot{0};
+  std::vector<std::uint32_t> device_of_node;  ///< NodeId -> device index.
+  std::vector<net::NodeId> node_of_device;    ///< Device index -> NodeId.
+  std::vector<std::uint32_t> device_of_slot;  ///< Slot -> device index.
+};
+
 namespace {
 /// Fold a nonzero timestamp into a (min, max) pair where 0 means "empty".
 void fold_extrema(sim::SimTime t, sim::SimTime& lo, sim::SimTime& hi) {
@@ -78,13 +90,41 @@ std::uint64_t GlobalSnapshot::total_value(bool include_channel) const {
   return total;
 }
 
-const UnitReport* GlobalSnapshot::report(const net::UnitId& u) const {
-  if (u.node >= device_of_node_.size()) return nullptr;
-  const std::uint32_t d = device_of_node_[u.node];
-  if (d == kNoDevice) return nullptr;
-  const std::size_t slot = first_slot_[d] + unit_slot(u);
-  if (slot >= first_slot_[d + 1]) return nullptr;
-  return occupied(slots_[slot]) ? &slots_[slot] : nullptr;
+void GlobalSnapshot::store(std::size_t slot, const UnitReport& r) {
+  state_[slot] = kOccupied | (r.consistent ? kConsistent : 0) |
+                 (r.inferred ? kInferred : 0);
+  values_[slot] = {.local_value = r.local_value,
+                   .channel_value = r.channel_value,
+                   .advance_time = r.advance_time,
+                   .finalize_time = r.finalize_time};
+}
+
+UnitReport GlobalSnapshot::rebuild(std::size_t slot) const {
+  const std::uint32_t d = layout_->device_of_slot[slot];
+  const net::NodeId node = layout_->node_of_device[d];
+  const SlotValues& v = values_[slot];
+  return {.device = node,
+          .unit = slot_unit(node, slot - layout_->first_slot[d]),
+          .sid = id,
+          .consistent = (state_[slot] & kConsistent) != 0,
+          .inferred = (state_[slot] & kInferred) != 0,
+          .local_value = v.local_value,
+          .channel_value = v.channel_value,
+          .advance_time = v.advance_time,
+          .finalize_time = v.finalize_time};
+}
+
+std::optional<UnitReport> GlobalSnapshot::report(const net::UnitId& u) const {
+  if (!layout_ || u.node >= layout_->device_of_node.size()) {
+    return std::nullopt;
+  }
+  const std::uint32_t d = layout_->device_of_node[u.node];
+  if (d == RoundLayout::kNoDevice) return std::nullopt;
+  const std::size_t slot = layout_->first_slot[d] + unit_slot(u);
+  if (slot >= layout_->first_slot[d + 1] || (state_[slot] & kOccupied) == 0) {
+    return std::nullopt;
+  }
+  return rebuild(slot);
 }
 
 Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
@@ -92,7 +132,8 @@ Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
     : sim_(sim),
       timing_(timing),
       options_(std::move(options)),
-      space_(options_.snapshot.sid_space()) {
+      space_(options_.snapshot.sid_space()),
+      layout_(std::make_shared<RoundLayout>()) {
   using obs::MetricKind;
   auto& reg = sim_.metrics();
   reg.register_reader("observer.requested", MetricKind::Counter, [this] {
@@ -130,16 +171,21 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   dev.rpc = rpc;
   total_units_ += dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
-  // Extend the layout new rounds start from; outstanding rounds keep theirs.
+  // Extend the layout new rounds start from; rounds already requested keep
+  // theirs, so extend a copy if any shares it.
+  if (layout_.use_count() > 1) {
+    layout_ = std::make_shared<RoundLayout>(*layout_);
+  }
   std::size_t slots = 0;
   for (const auto& u : dev.units) slots = std::max(slots, unit_slot(u) + 1);
-  auto& first_slot = blank_.first_slot_;
-  first_slot.push_back(first_slot.back() + slots);
-  auto& device_of_node = blank_.device_of_node_;
-  if (cp->device() >= device_of_node.size()) {
-    device_of_node.resize(cp->device() + 1, GlobalSnapshot::kNoDevice);
+  RoundLayout& layout = *layout_;
+  layout.first_slot.push_back(layout.first_slot.back() + slots);
+  layout.device_of_slot.resize(layout.first_slot.back(), dev_index);
+  layout.node_of_device.push_back(cp->device());
+  if (cp->device() >= layout.device_of_node.size()) {
+    layout.device_of_node.resize(cp->device() + 1, RoundLayout::kNoDevice);
   }
-  device_of_node[cp->device()] = dev_index;
+  layout.device_of_node[cp->device()] = dev_index;
   blank_.digests.push_back({.expected = dev.units.size()});
   blank_.expected_total += dev.units.size();
   dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
@@ -148,31 +194,41 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
                       options_.wire, options_.wire_stats);
   devices_.push_back(std::move(dev));
+  if (scope_) {
+    relevant_.resize(layout.first_slot.back(), true);
+    scope_device(dev_index);
+  }
 }
 
-VirtualSid Observer::lowest_outstanding() const {
-  for (const auto& [id, snap] : snapshots_) {
-    if (!snap.complete) return id;
+void Observer::post_rpc(Device& dev, sim::InplaceCallback fn) {
+  if (dev.rpc.wired()) {
+    dev.rpc.post(sim_.now() + timing_.observer_rpc_latency, std::move(fn));
+  } else {
+    sim_.after(timing_.observer_rpc_latency, std::move(fn));
   }
-  return next_sid_;
+}
+
+const GlobalSnapshot* Observer::result(VirtualSid id) const {
+  return id == 0 || id > rounds_.size() ? nullptr : &rounds_[id - 1];
 }
 
 std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Out-of-band rollover enforcement (Section 5.3): never let the live id
   // spread exceed what the wire id space can disambiguate.
-  const VirtualSid id = next_sid_;
-  const VirtualSid lowest = lowest_outstanding();
+  const VirtualSid id = rounds_.size() + 1;
+  const VirtualSid lowest = first_outstanding_ + 1;
   if (id - lowest >= space_.max_spread(options_.snapshot.channel_state)) {
     return std::nullopt;
   }
-  ++next_sid_;
 
   // Pin the device set (and the sync-group membership): late-attached
   // devices are not part of this snapshot (Section 6, "Node attachment").
-  GlobalSnapshot& snap = snapshots_.emplace(id, blank_).first->second;
+  GlobalSnapshot& snap = rounds_.emplace_back(blank_);
   snap.id = id;
   snap.scheduled_at = when;
-  snap.slots_.resize(snap.first_slot_.back());
+  snap.layout_ = layout_;
+  snap.state_.resize(layout_->first_slot.back());
+  snap.values_.resize(layout_->first_slot.back());
 
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsRequest,
                         obs::observer_track(), sim_.now(), id);
@@ -180,13 +236,7 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Register the event with every device control plane (one RPC each).
   for (auto& dev : devices_) {
     ControlPlane* cp = dev.cp;
-    if (dev.rpc.wired()) {
-      dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                   [cp, id, when]() { cp->schedule_snapshot(id, when); });
-    } else {
-      sim_.after(timing_.observer_rpc_latency,
-                 [cp, id, when]() { cp->schedule_snapshot(id, when); });
-    }
+    post_rpc(dev, [cp, id, when]() { cp->schedule_snapshot(id, when); });
   }
   const sim::SimTime deadline = when + options_.completion_timeout;
   sim_.at(deadline, [this, id]() { timeout_snapshot(id); });
@@ -194,39 +244,37 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
 }
 
 void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
+  scope_ = pred;
   if (pred) {
-    relevant_.assign(blank_.first_slot_.back(), true);
+    relevant_.assign(layout_->first_slot.back(), true);
   } else {
     relevant_.clear();
   }
-  blank_.expected_total = 0;
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    Device& dev = devices_[d];
-    std::vector<bool> mask;
-    std::size_t expected = dev.units.size();
-    if (pred) {
-      mask.assign(dev.units.size(), true);
-      expected = 0;
-      for (std::size_t i = 0; i < dev.units.size(); ++i) {
-        const bool rel = pred(dev.units[i]);
-        mask[i] = rel;
-        relevant_[blank_.first_slot_[d] + unit_slot(dev.units[i])] = rel;
-        expected += rel ? 1 : 0;
-      }
-    }
-    blank_.digests[d].expected = expected;
-    blank_.expected_total += expected;
-    // The mask rides the same keyed channel as snapshot requests, so any
-    // request made after this call is ordered behind it on every device.
-    ControlPlane* cp = dev.cp;
-    if (dev.rpc.wired()) {
-      dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                   [cp, mask]() { cp->set_report_scope(mask); });
-    } else {
-      sim_.after(timing_.observer_rpc_latency,
-                 [cp, mask]() { cp->set_report_scope(mask); });
+  for (std::size_t d = 0; d < devices_.size(); ++d) scope_device(d);
+}
+
+void Observer::scope_device(std::size_t d) {
+  Device& dev = devices_[d];
+  std::vector<bool> mask;
+  std::size_t expected = dev.units.size();
+  if (scope_) {
+    mask.assign(dev.units.size(), true);
+    expected = 0;
+    for (std::size_t i = 0; i < dev.units.size(); ++i) {
+      const bool rel = scope_(dev.units[i]);
+      mask[i] = rel;
+      relevant_[layout_->first_slot[d] + unit_slot(dev.units[i])] = rel;
+      expected += rel ? 1 : 0;
     }
   }
+  DeviceDigest& blank = blank_.digests[d];
+  blank_.expected_total -= blank.expected;
+  blank_.expected_total += expected;
+  blank.expected = expected;
+  // The mask rides the same keyed channel as snapshot requests, so any
+  // request made after this call is ordered behind it on every device.
+  ControlPlane* cp = dev.cp;
+  post_rpc(dev, [cp, mask]() { cp->set_report_scope(mask); });
 }
 
 void Observer::set_down(bool down) {
@@ -240,13 +288,7 @@ void Observer::set_down(bool down) {
       dev.decoder.begin_session(session_);
       ControlPlane* cp = dev.cp;
       const std::uint8_t s = session_;
-      if (dev.rpc.wired()) {
-        dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                     [cp, s]() { cp->on_observer_session(s); });
-      } else {
-        sim_.after(timing_.observer_rpc_latency,
-                   [cp, s]() { cp->on_observer_session(s); });
-      }
+      post_rpc(dev, [cp, s]() { cp->on_observer_session(s); });
     }
   }
   down_ = down;
@@ -267,7 +309,7 @@ void Observer::on_report_frame(std::uint16_t dev_index,
 }
 
 void Observer::on_report(std::uint16_t dev_index, const UnitReport& r) {
-  const auto& first_slot = blank_.first_slot_;
+  const auto& first_slot = layout_->first_slot;
   const std::size_t slot = first_slot[dev_index] + unit_slot(r.unit);
   if (r.unit.node != devices_[dev_index].cp->device() ||
       slot >= first_slot[dev_index + 1]) {
@@ -277,36 +319,37 @@ void Observer::on_report(std::uint16_t dev_index, const UnitReport& r) {
     // Outside the sync group (control plane restarted mid-change).
     return ignore(IgnoreReason::OutOfScope);
   }
-  auto it = snapshots_.find(r.sid);
-  if (it == snapshots_.end()) return ignore(IgnoreReason::UnknownSid);
-  GlobalSnapshot& snap = it->second;
+  if (r.sid == 0 || r.sid > rounds_.size()) {
+    return ignore(IgnoreReason::UnknownSid);
+  }
+  GlobalSnapshot& snap = rounds_[r.sid - 1];
   if (snap.complete) return ignore(IgnoreReason::Straggler);
   if (dev_index >= snap.digests.size()) {
     return ignore(IgnoreReason::UnexpectedDevice);
   }
-  UnitReport& stored = snap.slots_[slot];
   // Duplicate delivery keeps the first copy.
-  if (GlobalSnapshot::occupied(stored)) return ignore(IgnoreReason::Duplicate);
-  stored = r;
+  if (snap.state_[slot] != 0) return ignore(IgnoreReason::Duplicate);
+  snap.store(slot, r);
   snap.digests[dev_index].fold(r);
   ++snap.received_total;
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsCollect,
                         obs::observer_track(), sim_.now(), r.sid,
                         obs::pack_unit(r.unit));
-  check_complete(r.sid);
+  check_complete(snap);
 }
 
-void Observer::check_complete(VirtualSid id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end() || it->second.complete) return;
-  GlobalSnapshot& snap = it->second;
-  if (snap.received_total < snap.expected_total) return;
+void Observer::check_complete(GlobalSnapshot& snap) {
+  if (snap.complete || snap.received_total < snap.expected_total) return;
 
   snap.complete = true;
   snap.completed_at = sim_.now();
   ++completed_;
+  while (first_outstanding_ < rounds_.size() &&
+         rounds_[first_outstanding_].complete) {
+    ++first_outstanding_;
+  }
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsComplete,
-                        obs::observer_track(), sim_.now(), id,
+                        obs::observer_track(), sim_.now(), snap.id,
                         snap.received_total);
   if (completion_latency_ && snap.completed_at >= snap.scheduled_at) {
     completion_latency_->record(
@@ -316,31 +359,24 @@ void Observer::check_complete(VirtualSid id) {
 }
 
 void Observer::timeout_snapshot(VirtualSid id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end() || it->second.complete) return;
-  GlobalSnapshot& snap = it->second;
+  GlobalSnapshot& snap = rounds_[id - 1];
+  if (snap.complete) return;
 
   // Exclude every expected device that has not delivered all its units:
-  // its digest is zeroed, its slots cleared, and lookups stop finding it.
+  // its digest is zeroed and its slots cleared, so lookups and iteration
+  // stop finding it.
+  const RoundLayout& layout = *snap.layout_;
   for (std::size_t i = 0; i < snap.digests.size(); ++i) {
     DeviceDigest& d = snap.digests[i];
     if (d.received >= d.expected) continue;
-    const net::NodeId node = devices_[i].cp->device();
-    snap.excluded_devices.push_back(node);
+    snap.excluded_devices.push_back(layout.node_of_device[i]);
     snap.expected_total -= d.expected;
     snap.received_total -= d.received;
     d = DeviceDigest{};
-    snap.device_of_node_[node] = GlobalSnapshot::kNoDevice;
-    for (auto s = snap.first_slot_[i]; s < snap.first_slot_[i + 1]; ++s) {
-      snap.slots_[s] = UnitReport{};
-    }
+    std::fill(snap.state_.begin() + layout.first_slot[i],
+              snap.state_.begin() + layout.first_slot[i + 1], 0);
   }
-  check_complete(id);
-}
-
-const GlobalSnapshot* Observer::result(VirtualSid id) const {
-  const auto it = snapshots_.find(id);
-  return it == snapshots_.end() ? nullptr : &it->second;
+  check_complete(snap);
 }
 
 }  // namespace speedlight::snap

@@ -3,20 +3,26 @@
 // per-unit reports into global snapshots, detects completion, enforces the
 // id-rollover window out-of-band, and times out failed devices.
 //
-// Assembly (DESIGN.md section 16, "Observer assembly"): each round owns
-// one flat store of report slots, laid out when the round is requested —
-// every device pinned to the round owns a run of slots indexed by
-// unit_slot() (port * 2 + direction). An arriving report lands in its slot
-// (an occupied slot marks a duplicate) and folds into its device's digest
-// — counts, consistent-value sums, and advance/finalize extrema — so the
-// completion check and a report lookup are O(1) and the aggregate getters
-// O(devices).
+// Assembly (DESIGN.md section 16, "Observer assembly"): every device pinned
+// to a round owns a run of report slots, indexed by unit_slot() (port * 2 +
+// direction). The layout of those runs is one immutable RoundLayout per
+// device set, shared by every round requested against it. A round keeps
+// only what its reports add: a one-byte state per slot (occupied,
+// consistent, inferred) and a 32-byte value record (local and channel
+// value, advance and finalize time), 33 bytes a slot. A report's device,
+// unit and sid follow from its slot and the round id. An arriving report
+// lands in its slot (an occupied slot marks a duplicate) and folds into its
+// device's digest — counts, consistent-value sums, and advance/finalize
+// extrema — so the completion check and a report lookup are O(1) and the
+// aggregate getters O(devices). Rounds live until the observer is
+// destroyed.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <ranges>
 #include <span>
@@ -50,9 +56,23 @@ struct DeviceDigest {
   void fold(const UnitReport& r);
 };
 
+/// The report-slot layout of one device set (defined in observer.cpp).
+struct RoundLayout;
+
 /// A fully assembled network-wide snapshot. Self-contained: a copy stays
 /// valid after the observer (and its network) are gone.
 struct GlobalSnapshot {
+  /// What a slot keeps of its report beyond the state byte.
+  struct SlotValues {
+    std::uint64_t local_value = 0;
+    std::uint64_t channel_value = 0;
+    sim::SimTime advance_time = 0;
+    sim::SimTime finalize_time = 0;
+  };
+  static_assert(sizeof(SlotValues) == 32);
+  /// Store cost of one report slot: the state byte plus the value record.
+  static constexpr std::size_t kSlotBytes = 1 + sizeof(SlotValues);
+
   VirtualSid id = 0;
   sim::SimTime scheduled_at = 0;
   /// One digest per device pinned when the round was requested, in device
@@ -67,15 +87,25 @@ struct GlobalSnapshot {
   /// True time the observer assembled the last report (or timed out).
   sim::SimTime completed_at = 0;
 
-  /// The report unit `u` delivered for this round, or nullptr if it is
+  /// The report unit `u` delivered for this round, or nullopt if it is
   /// missing, its device was excluded, or it is not part of the round. O(1).
-  [[nodiscard]] const UnitReport* report(const net::UnitId& u) const;
+  [[nodiscard]] std::optional<UnitReport> report(const net::UnitId& u) const;
 
-  /// Every stored report, ordered by device registration, then port, then
-  /// direction: UnitId order under core::Network, which registers its
-  /// switches in NodeId order.
+  /// Every stored report, rebuilt from its slot, ordered by device
+  /// registration, then port, then direction: UnitId order under
+  /// core::Network, which registers its switches in NodeId order.
   [[nodiscard]] auto reports() const {
-    return std::views::filter(slots_, &GlobalSnapshot::occupied);
+    return std::views::iota(std::size_t{0}, state_.size()) |
+           std::views::filter([this](std::size_t slot) {
+             return (state_[slot] & kOccupied) != 0;
+           }) |
+           std::views::transform(
+               [this](std::size_t slot) { return rebuild(slot); });
+  }
+
+  /// Bytes of this round's report store: slots x kSlotBytes.
+  [[nodiscard]] std::size_t store_bytes() const {
+    return state_.size() * kSlotBytes;
   }
 
   [[nodiscard]] bool all_consistent() const;
@@ -100,18 +130,17 @@ struct GlobalSnapshot {
 
  private:
   friend class Observer;
-  static constexpr std::uint32_t kNoDevice = 0xFFFFFFFFu;
+  /// State column bits.
+  static constexpr std::uint8_t kOccupied = 1;
+  static constexpr std::uint8_t kConsistent = 2;
+  static constexpr std::uint8_t kInferred = 4;
 
-  /// Stored reports carry their round's id, which is never 0.
-  static bool occupied(const UnitReport& r) { return r.sid != 0; }
+  void store(std::size_t slot, const UnitReport& r);
+  [[nodiscard]] UnitReport rebuild(std::size_t slot) const;
 
-  /// The flat report store: device i owns slots
-  /// [first_slot_[i], first_slot_[i + 1]), indexed within by unit_slot().
-  std::vector<UnitReport> slots_;
-  std::vector<std::size_t> first_slot_{0};
-  /// NodeId -> device index (kNoDevice for other nodes and excluded
-  /// devices).
-  std::vector<std::uint32_t> device_of_node_;
+  std::shared_ptr<const RoundLayout> layout_;
+  std::vector<std::uint8_t> state_;  ///< By slot; 0 = empty.
+  std::vector<SlotValues> values_;   ///< By slot.
 };
 
 class Observer {
@@ -150,7 +179,7 @@ class Observer {
   /// observer. May be called at any time
   /// (Section 6, "Node attachment"): snapshots already outstanding keep
   /// their original device set, and the new device participates from the
-  /// next request on.
+  /// next request on, under the scope set_scope() last set.
   ///
   /// `rpc` is the keyed endpoint request RPCs to the device are posted
   /// through (their merge rank); unwired (the default) schedules them as
@@ -165,11 +194,13 @@ class Observer {
   /// Section 5.3).
   std::optional<VirtualSid> request_snapshot(sim::SimTime when);
 
-  /// Result access. Snapshots stay available until the observer is
-  /// destroyed.
+  /// Result access, O(1). Every round stays available (and the pointer
+  /// stable) until the observer is destroyed: its store costs
+  /// GlobalSnapshot::kSlotBytes (33 B) per slot of its layout, slots
+  /// counted over the devices pinned to it, whether or not they reported.
   [[nodiscard]] const GlobalSnapshot* result(VirtualSid id) const;
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
-  [[nodiscard]] std::size_t requested_count() const { return next_sid_ - 1; }
+  [[nodiscard]] std::size_t requested_count() const { return rounds_.size(); }
 
   /// Invoked whenever a snapshot completes (possibly with exclusions).
   void set_completion_callback(std::function<void(const GlobalSnapshot&)> cb) {
@@ -180,7 +211,8 @@ class Observer {
   /// everything). Broadcasts per-device relevancy masks to every control
   /// plane over the same keyed RPC channel snapshot requests travel, so a
   /// snapshot requested after this call observes the new scope on every
-  /// device. Only call while no snapshot is outstanding: rounds already in
+  /// device; devices registered later get their mask on registration. Only
+  /// call while no snapshot is outstanding: rounds already in
   /// flight were pinned against the old membership and would time out
   /// their filtered devices.
   void set_scope(const std::function<bool(const net::UnitId&)>& pred);
@@ -204,6 +236,12 @@ class Observer {
     return ignored_[static_cast<std::size_t>(why)];
   }
 
+  /// The receiving end of device `dev_index`'s report link (register_device
+  /// points the control plane's link here): decode one frame and assemble
+  /// the report. Public so tests can deliver hand-encoded frames.
+  void on_report_frame(std::uint16_t dev_index,
+                       std::span<const std::uint8_t> bytes);
+
  private:
   struct Device {
     ControlPlane* cp = nullptr;
@@ -214,13 +252,15 @@ class Observer {
 
   static void report_frame_thunk(void* ctx, std::uint16_t dev_index,
                                  const std::uint8_t* bytes, std::uint8_t len);
-  void on_report_frame(std::uint16_t dev_index,
-                       std::span<const std::uint8_t> bytes);
   void on_report(std::uint16_t dev_index, const UnitReport& r);
   void ignore(IgnoreReason why) { ++ignored_[static_cast<std::size_t>(why)]; }
-  void check_complete(VirtualSid id);
+  /// Post `fn` to run on device `dev`'s control plane one RPC later.
+  void post_rpc(Device& dev, sim::InplaceCallback fn);
+  /// Apply the sync-group scope to device `d`: relevancy, expected count
+  /// for new rounds, and the mask RPC.
+  void scope_device(std::size_t d);
+  void check_complete(GlobalSnapshot& snap);
   void timeout_snapshot(VirtualSid id);
-  [[nodiscard]] VirtualSid lowest_outstanding() const;
 
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
@@ -229,14 +269,23 @@ class Observer {
 
   std::vector<Device> devices_;
   std::size_t total_units_ = 0;
-  /// The round every request starts from: the current device set's slot
-  /// layout and in-scope unit counts, no reports.
+  /// The current device set's slot layout. Rounds share it; register_device
+  /// extends a copy once any round does.
+  std::shared_ptr<RoundLayout> layout_;
+  /// The round every request starts from: the current device set's
+  /// in-scope unit counts, no reports.
   GlobalSnapshot blank_;
-  /// Sync-group relevancy by report slot; empty = everything.
+  /// Sync-group membership (null = everything) and the relevancy it gives
+  /// each report slot (empty = everything).
+  std::function<bool(const net::UnitId&)> scope_;
   std::vector<bool> relevant_;
 
-  std::map<VirtualSid, GlobalSnapshot> snapshots_;
-  VirtualSid next_sid_ = 1;
+  /// Round `sid` is rounds_[sid - 1]: sids are dense from 1, and a deque
+  /// keeps result() pointers stable as rounds are added.
+  std::deque<GlobalSnapshot> rounds_;
+  /// Rounds before this index are all complete; the rollover window is
+  /// measured from the round at it.
+  std::size_t first_outstanding_ = 0;
   std::size_t completed_ = 0;
   bool down_ = false;
   std::uint8_t session_ = 0;  ///< Wire report-link session (bumps on restart).

@@ -35,6 +35,8 @@ struct UnitReport {
   /// Audit: true time at which the unit finished the snapshot (with channel
   /// state: all upstream neighbors caught up — Figure 9's longer tail).
   sim::SimTime finalize_time = 0;
+
+  friend bool operator==(const UnitReport&, const UnitReport&) = default;
 };
 
 using ReportSink = std::function<void(const UnitReport&)>;

@@ -155,6 +155,12 @@ class NotificationCodec {
          (unit.direction == net::Direction::Egress ? 1 : 0);
 }
 
+/// The unit of device `node` at baseline index `slot` (unit_slot inverted).
+[[nodiscard]] inline net::UnitId slot_unit(net::NodeId node, std::size_t slot) {
+  return {node, static_cast<net::PortId>(slot / 2),
+          slot % 2 == 1 ? net::Direction::Egress : net::Direction::Ingress};
+}
+
 class ReportEncoder {
  public:
   void configure(const WireOptions& opts, sim::Duration rpc_latency,

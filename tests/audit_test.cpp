@@ -90,8 +90,8 @@ TEST(AuditConservation, InternalChannelsConserveFlow) {
       const auto ports = net.switch_at(swid).options().num_ports;
       for (net::PortId p = 0; p < ports; ++p) {
         ASSERT_EQ(audit.drops(swid, p), 0u);
-        const auto* it = snap->report({swid, p, net::Direction::Egress});
-        ASSERT_NE(it, nullptr);
+        const auto it = snap->report({swid, p, net::Direction::Egress});
+        ASSERT_TRUE(it.has_value());
         if (!it->consistent) continue;
         EXPECT_EQ(audit.sent_pre(swid, p, snap->id),
                   it->local_value + it->channel_value)
@@ -162,10 +162,10 @@ TEST(CosChannels, TwoClassSnapshotStaysConsistent) {
   for (const auto* snap : results) {
     EXPECT_TRUE(snap->all_consistent());
     // Trunk conservation, same as the single-class case.
-    const auto* eg = snap->report({0, 2, net::Direction::Egress});
-    const auto* in = snap->report({1, 1, net::Direction::Ingress});
-    ASSERT_NE(eg, nullptr);
-    ASSERT_NE(in, nullptr);
+    const auto eg = snap->report({0, 2, net::Direction::Egress});
+    const auto in = snap->report({1, 1, net::Direction::Ingress});
+    ASSERT_TRUE(eg.has_value());
+    ASSERT_TRUE(in.has_value());
     EXPECT_EQ(eg->local_value, in->local_value + in->channel_value);
   }
 }

@@ -82,12 +82,12 @@ TEST(Ecn, MarkCountersSnapshotConsistently) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->complete);
   EXPECT_TRUE(snap->all_consistent());
-  const auto* it = snap->report({0, 2, net::Direction::Egress});
-  ASSERT_NE(it, nullptr);
+  const auto it = snap->report({0, 2, net::Direction::Egress});
+  ASSERT_TRUE(it.has_value());
   EXPECT_GT(it->local_value, 50u);  // Marks visible in the snapshot.
   // Only the congested egress unit marks; others report zero.
-  const auto* quiet = snap->report({0, 0, net::Direction::Egress});
-  ASSERT_NE(quiet, nullptr);
+  const auto quiet = snap->report({0, 0, net::Direction::Egress});
+  ASSERT_TRUE(quiet.has_value());
   EXPECT_EQ(quiet->local_value, 0u);
 }
 

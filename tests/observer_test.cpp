@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/network.hpp"
+#include "mini_device.hpp"
 #include "net/topology.hpp"
+#include "snapshot/observer.hpp"
 #include "workload/basic.hpp"
 
 namespace speedlight {
@@ -142,14 +148,14 @@ TEST(Observer, SnapshotCopyOutlivesItsNetwork) {
   }
   EXPECT_EQ(i, reports.size());
   for (const auto& r : reports) {
-    const auto* found = copy->report(r.unit);
-    ASSERT_NE(found, nullptr);
+    const auto found = copy->report(r.unit);
+    ASSERT_TRUE(found.has_value());
     EXPECT_EQ(found->unit, r.unit);
     EXPECT_EQ(found->local_value, r.local_value);
     EXPECT_EQ(found->advance_time, r.advance_time);
   }
-  EXPECT_EQ(copy->report({0, 99, net::Direction::Ingress}), nullptr);
-  EXPECT_EQ(copy->report({999, 0, net::Direction::Ingress}), nullptr);
+  EXPECT_FALSE(copy->report({0, 99, net::Direction::Ingress}).has_value());
+  EXPECT_FALSE(copy->report({999, 0, net::Direction::Ingress}).has_value());
 }
 
 TEST(Observer, ExcludedDeviceLeavesLookupAndIteration) {
@@ -171,13 +177,13 @@ TEST(Observer, ExcludedDeviceLeavesLookupAndIteration) {
   const auto* snap = net.observer().result(*id);
   ASSERT_NE(snap, nullptr);
   ASSERT_FALSE(snap->complete);
-  ASSERT_NE(snap->report(ingress0), nullptr);
+  ASSERT_TRUE(snap->report(ingress0).has_value());
   EXPECT_GT(snap->digests[0].received, 0u);
 
   net.run_for(sim::msec(15));
   ASSERT_TRUE(snap->complete);
   EXPECT_EQ(snap->excluded_devices, std::vector<net::NodeId>{0});
-  EXPECT_EQ(snap->report(ingress0), nullptr);
+  EXPECT_FALSE(snap->report(ingress0).has_value());
   EXPECT_EQ(snap->digests[0].expected, 0u);
   EXPECT_EQ(snap->digests[0].received, 0u);
   std::size_t stored = 0;
@@ -189,6 +195,179 @@ TEST(Observer, ExcludedDeviceLeavesLookupAndIteration) {
   EXPECT_EQ(snap->received_total, snap->expected_total);
   const auto switch0_units = 2 * net.switch_at(0).options().num_ports;
   EXPECT_EQ(snap->received_total, 28u - switch0_units);
+}
+
+TEST(Observer, DeviceAttachedUnderScopeJoinsNextRound) {
+  // A device registered after set_scope() gets the scope too: its in-scope
+  // units are relevant and expected, and its control plane is told its
+  // mask, so it joins the next round instead of being excluded from it.
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  snap::SnapshotConfig config;
+  snap::Observer::Options obs_options;
+  obs_options.snapshot = config;
+  snap::Observer observer(sim, timing, obs_options);
+  snap::testing::MiniDevice a(sim, timing, 1, config);
+  observer.register_device(&a.cp());
+  observer.set_scope([](const net::UnitId& u) { return u.node != 3; });
+
+  snap::testing::MiniDevice b(sim, timing, 2, config);  // In scope.
+  snap::testing::MiniDevice c(sim, timing, 3, config);  // Out of scope.
+  observer.register_device(&b.cp());
+  observer.register_device(&c.cp());
+
+  const auto id = observer.request_snapshot(sim.now() + sim::msec(1));
+  ASSERT_TRUE(id.has_value());
+  sim.run_until(sim::msec(200));  // Past the completion timeout.
+  const auto* snap = observer.result(*id);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_TRUE(snap->complete);
+  EXPECT_TRUE(snap->excluded_devices.empty());
+  EXPECT_EQ(snap->expected_total, 2u);
+  EXPECT_EQ(snap->received_total, 2u);
+  EXPECT_TRUE(snap->report({2, 0, net::Direction::Ingress}).has_value());
+  EXPECT_EQ(c.cp().reports_filtered(), 1u);
+  using Why = snap::Observer::IgnoreReason;
+  EXPECT_EQ(observer.reports_ignored(Why::OutOfScope), 0u);
+}
+
+// A unit with nothing behind it: initiations go nowhere and it never
+// notifies, so its control plane never ships a report.
+class InertUnit final : public snap::UnitHandle {
+ public:
+  explicit InertUnit(net::UnitId id) : id_(id) {}
+  [[nodiscard]] net::UnitId unit_id() const override { return id_; }
+  [[nodiscard]] bool is_ingress() const override {
+    return id_.direction == net::Direction::Ingress;
+  }
+  [[nodiscard]] std::uint16_t num_channels() const override { return 2; }
+  [[nodiscard]] std::uint16_t cpu_channel() const override { return 1; }
+  void inject_initiation(snap::WireSid /*sid*/) override {}
+  void inject_probe() override {}
+  [[nodiscard]] snap::SlotValue read_value_slot(
+      std::size_t /*index*/) const override {
+    return {};
+  }
+  [[nodiscard]] snap::WireSid read_sid_register() const override { return 0; }
+  [[nodiscard]] snap::WireSid read_last_seen_register(
+      std::uint16_t /*channel*/) const override {
+    return 0;
+  }
+  [[nodiscard]] std::uint64_t read_live_counter() const override { return 0; }
+
+ private:
+  net::UnitId id_;
+};
+
+static_assert(sizeof(snap::GlobalSnapshot::SlotValues) == 32);
+static_assert(snap::GlobalSnapshot::kSlotBytes == 33);
+
+TEST(Observer, CompactStoreRoundTripsEveryField) {
+  // Hand-encoded FullV2 frames (every field carried at full width) go
+  // straight into the observer's report links. Whatever a report carries,
+  // the compact store must give back exactly that report — device, unit
+  // and sid rebuilt from its slot — in UnitId order.
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  snap::Observer::Options obs_options;
+  obs_options.wire.encoding = snap::WireEncoding::FullV2;
+  obs_options.completion_timeout = sim::msec(10);
+  snap::Observer observer(sim, timing, obs_options);
+
+  // Devices 2 and 5, two ports each, registered in NodeId order.
+  const std::array<net::NodeId, 2> nodes{2, 5};
+  std::vector<std::unique_ptr<InertUnit>> units;
+  std::vector<std::unique_ptr<snap::ControlPlane>> cps;
+  std::array<snap::ReportEncoder, 2> encoders;
+  for (std::size_t d = 0; d < nodes.size(); ++d) {
+    cps.push_back(std::make_unique<snap::ControlPlane>(
+        sim, nodes[d], "dev" + std::to_string(nodes[d]), timing,
+        snap::ControlPlane::Options{}, sim::Rng(nodes[d])));
+    encoders[d].configure(obs_options.wire, timing.observer_rpc_latency,
+                          nullptr);
+    for (const net::PortId p : {0, 1}) {
+      for (const auto dir : {net::Direction::Ingress, net::Direction::Egress}) {
+        const net::UnitId u{nodes[d], p, dir};
+        units.push_back(std::make_unique<InertUnit>(u));
+        cps.back()->add_unit(units.back().get(), {true, false});
+        encoders[d].add_unit(u);
+      }
+    }
+    observer.register_device(cps.back().get());
+  }
+  const auto deliver = [&](std::uint16_t dev, const snap::UnitReport& r) {
+    std::array<std::uint8_t, snap::kMaxReportFrameBytes> frame{};
+    const std::size_t len = encoders[dev].encode(r, sim.now(), frame.data());
+    observer.on_report_frame(dev, {frame.data(), len});
+  };
+
+  const auto s1 = observer.request_snapshot(sim::msec(1));
+  const auto s2 = observer.request_snapshot(sim::msec(2));
+  ASSERT_TRUE(s1.has_value());
+  ASSERT_TRUE(s2.has_value());
+  constexpr auto kMaxValue = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kMaxTime = std::numeric_limits<sim::SimTime>::max();
+  const auto report = [](net::UnitId u, snap::VirtualSid sid) {
+    return snap::UnitReport{.device = u.node, .unit = u, .sid = sid};
+  };
+  auto consistent = report({2, 0, net::Direction::Ingress}, *s1);
+  consistent.local_value = 7;
+  consistent.advance_time = 1000;
+  consistent.finalize_time = 1000;
+  auto inconsistent = report({2, 0, net::Direction::Egress}, *s1);
+  inconsistent.consistent = false;
+  inconsistent.finalize_time = 1500;
+  auto inferred = report({2, 1, net::Direction::Ingress}, *s1);
+  inferred.inferred = true;
+  inferred.local_value = 42;
+  inferred.channel_value = 3;
+  inferred.advance_time = 1100;
+  inferred.finalize_time = 2500;
+  auto extreme = report({2, 1, net::Direction::Egress}, *s1);
+  extreme.local_value = kMaxValue;
+  extreme.channel_value = kMaxValue;
+  extreme.advance_time = kMaxTime;
+  extreme.finalize_time = 3;
+  // Device 5 delivers one unit of four, so the timeout excludes it.
+  auto partial = report({5, 1, net::Direction::Egress}, *s1);
+  partial.channel_value = 9;
+  partial.advance_time = 2000;
+  partial.finalize_time = 2100;
+  auto second = report({2, 0, net::Direction::Ingress}, *s2);
+  second.local_value = 8;
+
+  // Out of UnitId order on purpose.
+  deliver(1, partial);
+  deliver(0, extreme);
+  deliver(0, inferred);
+  deliver(0, consistent);
+  deliver(0, inconsistent);
+  deliver(0, second);
+
+  const auto* round1 = observer.result(*s1);
+  ASSERT_NE(round1, nullptr);
+  EXPECT_FALSE(round1->complete);
+  EXPECT_EQ(round1->store_bytes(), 8 * snap::GlobalSnapshot::kSlotBytes);
+  const std::vector<snap::UnitReport> delivered{consistent, inconsistent,
+                                                inferred, extreme, partial};
+  for (const auto& r : delivered) EXPECT_EQ(round1->report(r.unit), r);
+  EXPECT_FALSE(round1->report({5, 0, net::Direction::Ingress}).has_value());
+  std::vector<snap::UnitReport> stored;
+  for (const auto& r : round1->reports()) stored.push_back(r);
+  EXPECT_EQ(stored, delivered);
+  const auto* round2 = observer.result(*s2);
+  ASSERT_NE(round2, nullptr);
+  EXPECT_EQ(round2->report(second.unit), second);
+
+  sim.run_until(sim::msec(50));  // Past both completion timeouts.
+  ASSERT_TRUE(round1->complete);
+  EXPECT_EQ(round1->excluded_devices, std::vector<net::NodeId>{5});
+  EXPECT_FALSE(round1->report(partial.unit).has_value());
+  stored.clear();
+  for (const auto& r : round1->reports()) stored.push_back(r);
+  EXPECT_EQ(stored, std::vector<snap::UnitReport>(delivered.begin(),
+                                                  delivered.end() - 1));
+  for (const auto& r : stored) EXPECT_EQ(round1->report(r.unit), r);
 }
 
 }  // namespace

@@ -102,10 +102,10 @@ TEST_P(SnapshotProperty, ConservationCompletenessMonotonicity) {
                               net::Direction::Ingress};
       for (const auto& [eg, in] :
            {std::pair{eg_ab, in_ab}, std::pair{eg_ba, in_ba}}) {
-        const auto* e = snap->report(eg);
-        const auto* i = snap->report(in);
-        ASSERT_NE(e, nullptr);
-        ASSERT_NE(i, nullptr);
+        const auto e = snap->report(eg);
+        const auto i = snap->report(in);
+        ASSERT_TRUE(e.has_value());
+        ASSERT_TRUE(i.has_value());
         if (!e->consistent || !i->consistent) continue;
         EXPECT_EQ(e->local_value, i->local_value + i->channel_value)
             << "snapshot " << snap->id;
@@ -115,8 +115,8 @@ TEST_P(SnapshotProperty, ConservationCompletenessMonotonicity) {
     // Monotonicity across snapshots, per unit.
     if (prev != nullptr) {
       for (const auto& r : snap->reports()) {
-        const auto* before = prev->report(r.unit);
-        ASSERT_NE(before, nullptr);
+        const auto before = prev->report(r.unit);
+        ASSERT_TRUE(before.has_value());
         EXPECT_GE(r.local_value, before->local_value);
       }
     }
@@ -264,9 +264,9 @@ TEST_P(LossyCorrectness, ConsistentReportsRemainExact) {
                            net::Direction::Egress};
       const net::UnitId in{static_cast<net::NodeId>(t.switch_b), t.port_b,
                            net::Direction::Ingress};
-      const auto* e = snap->report(eg);
-      const auto* i = snap->report(in);
-      if (e == nullptr || i == nullptr) continue;
+      const auto e = snap->report(eg);
+      const auto i = snap->report(in);
+      if (!e || !i) continue;
       if (!e->consistent || !i->consistent) continue;
       EXPECT_EQ(e->local_value, i->local_value + i->channel_value)
           << "snapshot " << snap->id;

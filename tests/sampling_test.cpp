@@ -81,8 +81,8 @@ TEST(Sampling, SampledEstimateHasErrorSnapshotDoesNot) {
   net.run_for(sim::msec(20));
   const auto* snap = net.take_snapshot();
   ASSERT_NE(snap, nullptr);
-  const auto* it = snap->report({0, 0, net::Direction::Ingress});
-  ASSERT_NE(it, nullptr);
+  const auto it = snap->report({0, 0, net::Direction::Ingress});
+  ASSERT_TRUE(it.has_value());
   EXPECT_EQ(it->local_value, 5000u);  // Exact.
   const auto est = collector.estimated_packets(0, 0);
   EXPECT_NE(est, 5000u);  // With overwhelming probability.

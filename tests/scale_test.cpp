@@ -83,10 +83,10 @@ TEST(Scale, FatTree6Conservation) {
       const auto sb = static_cast<net::NodeId>(fwd ? t.switch_b : t.switch_a);
       const auto pa = fwd ? t.port_a : t.port_b;
       const auto pb = fwd ? t.port_b : t.port_a;
-      const auto* e = snap->report({sa, pa, net::Direction::Egress});
-      const auto* i = snap->report({sb, pb, net::Direction::Ingress});
-      ASSERT_NE(e, nullptr);
-      ASSERT_NE(i, nullptr);
+      const auto e = snap->report({sa, pa, net::Direction::Egress});
+      const auto i = snap->report({sb, pb, net::Direction::Ingress});
+      ASSERT_TRUE(e.has_value());
+      ASSERT_TRUE(i.has_value());
       EXPECT_EQ(e->local_value, i->local_value + i->channel_value);
       ++checked;
     }
@@ -145,12 +145,12 @@ TEST(FeatureInteraction, EverythingOnAtOnce) {
   for (const auto* snap : results) {
     EXPECT_TRUE(snap->all_consistent());
     for (const auto& t : net.spec().trunks) {
-      const auto* e = snap->report(
+      const auto e = snap->report(
           {static_cast<net::NodeId>(t.switch_a), t.port_a, net::Direction::Egress});
-      const auto* i = snap->report(
+      const auto i = snap->report(
           {static_cast<net::NodeId>(t.switch_b), t.port_b, net::Direction::Ingress});
-      ASSERT_NE(e, nullptr);
-      ASSERT_NE(i, nullptr);
+      ASSERT_TRUE(e.has_value());
+      ASSERT_TRUE(i.has_value());
       EXPECT_EQ(e->local_value, i->local_value + i->channel_value);
     }
   }

@@ -57,10 +57,10 @@ void expect_conservation(const Network& net, const snap::GlobalSnapshot& snap) {
          {static_cast<net::NodeId>(t.switch_a), t.port_a, net::Direction::Ingress}},
     };
     for (const auto& d : dirs) {
-      const auto* eg = snap.report(d.egress);
-      const auto* in = snap.report(d.ingress);
-      ASSERT_NE(eg, nullptr);
-      ASSERT_NE(in, nullptr);
+      const auto eg = snap.report(d.egress);
+      const auto in = snap.report(d.ingress);
+      ASSERT_TRUE(eg.has_value());
+      ASSERT_TRUE(in.has_value());
       if (!eg->consistent || !in->consistent) continue;
       EXPECT_EQ(eg->local_value, in->local_value + in->channel_value)
           << "snapshot " << snap.id << " trunk " << t.switch_a << ":"
@@ -116,8 +116,8 @@ TEST(SnapshotIntegration, CampaignValuesMonotone) {
   ASSERT_EQ(results.size(), 10u);
   for (std::size_t i = 1; i < results.size(); ++i) {
     for (const auto& r : results[i]->reports()) {
-      const auto* prev = results[i - 1]->report(r.unit);
-      ASSERT_NE(prev, nullptr);
+      const auto prev = results[i - 1]->report(r.unit);
+      ASSERT_TRUE(prev.has_value());
       EXPECT_GE(r.local_value, prev->local_value);
     }
   }
@@ -222,10 +222,10 @@ TEST(SnapshotIntegration, PartialDeploymentCsChainConservation) {
   EXPECT_TRUE(snap->all_consistent());
   // Conservation across the *logical* channel s0.egress(2) -> s2.ingress(1):
   // the disabled middle neither counts nor drops.
-  const auto* eg = snap->report({0, 2, net::Direction::Egress});
-  const auto* in = snap->report({2, 1, net::Direction::Ingress});
-  ASSERT_NE(eg, nullptr);
-  ASSERT_NE(in, nullptr);
+  const auto eg = snap->report({0, 2, net::Direction::Egress});
+  const auto in = snap->report({2, 1, net::Direction::Ingress});
+  ASSERT_TRUE(eg.has_value());
+  ASSERT_TRUE(in.has_value());
   EXPECT_EQ(eg->local_value, in->local_value + in->channel_value);
 }
 
@@ -276,7 +276,7 @@ TEST(SnapshotIntegration, LateReportsOfTimedOutDevicesAreStragglers) {
   EXPECT_EQ(observer.reports_ignored(Reason::Duplicate), 0u);
   EXPECT_EQ(snap->received_total, 0u);
   EXPECT_TRUE(std::ranges::empty(snap->reports()));
-  EXPECT_EQ(snap->report({0, 1, net::Direction::Ingress}), nullptr);
+  EXPECT_FALSE(snap->report({0, 1, net::Direction::Ingress}).has_value());
   EXPECT_EQ(snap->total_value(true), 0u);
   EXPECT_TRUE(net.metrics().contains("observer.reports_ignored.straggler"));
 }

@@ -189,12 +189,12 @@ TEST(WireIntegration, ChargedDeltaConservesAndRegistersMetrics) {
   // move the timeline but can never corrupt the counts.
   for (std::size_t t = 0; t < net.spec().trunks.size(); ++t) {
     const auto& trunk = net.spec().trunks[t];
-    const auto* eg = snap->report({static_cast<net::NodeId>(trunk.switch_a),
+    const auto eg = snap->report({static_cast<net::NodeId>(trunk.switch_a),
                                    trunk.port_a, net::Direction::Egress});
-    const auto* in = snap->report({static_cast<net::NodeId>(trunk.switch_b),
+    const auto in = snap->report({static_cast<net::NodeId>(trunk.switch_b),
                                    trunk.port_b, net::Direction::Ingress});
-    ASSERT_NE(eg, nullptr);
-    ASSERT_NE(in, nullptr);
+    ASSERT_TRUE(eg.has_value());
+    ASSERT_TRUE(in.has_value());
     EXPECT_EQ(eg->local_value, in->local_value + in->channel_value)
         << "trunk " << t;
   }
