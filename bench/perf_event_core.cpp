@@ -1,13 +1,11 @@
-// Event-core performance harness: the new slab/4-ary-heap EventQueue versus
-// the seed implementation (std::priority_queue + unordered_map callbacks,
-// reproduced verbatim below as LegacyEventQueue), on the workloads that
-// dominate every figure reproduction:
+// Event-core performance harness: the slab/4-ary-heap EventQueue on the
+// workloads that dominate every figure reproduction:
 //   1. mixed    — steady-state schedule/cancel/pop lifecycles at ~10k
 //                 pending events: execute, schedule the next arrival, and
 //                 re-arm a protocol timeout (a loaded simulation run);
 //   2. rearm    — a periodic timer that is cancelled and re-armed over and
-//                 over (the snapshot re-initiation pattern that leaked
-//                 stale heap entries in the seed queue);
+//                 over (the snapshot re-initiation pattern): the heap must
+//                 stay O(live) instead of keeping stale entries;
 //   3. simulator — end-to-end Simulator::after() self-rescheduling timers,
 //                 exercising InplaceCallback and the stats counters.
 //
@@ -17,10 +15,8 @@
 // the schema in DESIGN.md "Performance methodology".
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,82 +28,14 @@ namespace {
 
 using namespace speedlight;
 
-// ---------------------------------------------------------------------------
-// The seed event queue, kept as the measured baseline.
-// ---------------------------------------------------------------------------
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-  using EventId = std::uint64_t;
-
-  EventId schedule(sim::SimTime when, Callback fn) {
-    const EventId id = next_id_++;
-    heap_.push(Entry{when, id});
-    callbacks_.emplace(id, std::move(fn));
-    ++live_count_;
-    return id;
-  }
-
-  bool cancel(EventId id) {
-    const auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
-    --live_count_;
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
-
-  struct Popped {
-    sim::SimTime time;
-    Callback fn;
-  };
-  Popped pop() {
-    drop_cancelled();
-    const Entry top = heap_.top();
-    heap_.pop();
-    auto it = callbacks_.find(top.id);
-    Popped popped{top.time, std::move(it->second)};
-    callbacks_.erase(it);
-    --live_count_;
-    return popped;
-  }
-
- private:
-  struct Entry {
-    sim::SimTime time;
-    EventId id;
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
-  void drop_cancelled() {
-    while (!heap_.empty() &&
-           callbacks_.find(heap_.top().id) == callbacks_.end()) {
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  EventId next_id_ = 1;
-  std::size_t live_count_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
 /// A realistically sized capture: the data-path lambdas carry `this`, a
-/// packet handle, and a timestamp or port (roughly 24-40 bytes). This is
-/// beyond std::function's inline buffer, inside InplaceCallback's.
+/// packet handle, and a timestamp or port (roughly 24-40 bytes), inside
+/// InplaceCallback's inline buffer.
 struct Payload {
   std::uint64_t* counter;
   std::uint64_t pad[4];
@@ -117,25 +45,22 @@ struct Payload {
 struct MixedResult {
   double wall_s = 0.0;
   double events_per_sec = 0.0;
-  std::uint64_t executed = 0;
   std::size_t peak_depth = 0;
 };
 
 /// The event lifecycle mix a loaded simulation run executes: pop + execute
 /// one event, schedule its replacement (the next hop / next arrival), and
 /// re-arm one protocol timeout (schedule a far-future event, cancel the
-/// previously armed one -- most timeouts never fire). Both implementations
-/// replay the identical deterministic sequence; "events" counts completed
-/// lifecycles (an executed event, or a timeout scheduled+cancelled).
-template <typename Queue>
+/// previously armed one -- most timeouts never fire). The sequence is
+/// deterministic; "events" counts completed lifecycles (an executed event,
+/// or a timeout scheduled+cancelled).
 MixedResult run_mixed(std::size_t depth, std::size_t iters) {
-  Queue q;
+  sim::EventQueue q;
   std::uint64_t sink = 0;
-  std::uint64_t executed = 0;
   sim::SimTime now = 0;
   std::uint64_t x = 88172645463325252ull;  // xorshift64 state
   constexpr std::size_t kTimeoutRing = 512;
-  std::vector<std::uint64_t> timeouts(kTimeoutRing);  // EventId is uint64
+  std::vector<sim::EventId> timeouts(kTimeoutRing);
 
   MixedResult res;
   const auto t0 = std::chrono::steady_clock::now();
@@ -153,7 +78,6 @@ MixedResult run_mixed(std::size_t depth, std::size_t iters) {
     auto popped = q.pop();
     now = popped.time;
     popped.fn();
-    ++executed;
     q.schedule(now + 1 + static_cast<sim::SimTime>(x % 8192),
                Payload{&sink, {1, 0, 0, 0}});
     const std::size_t slot = i & (kTimeoutRing - 1);
@@ -161,25 +85,21 @@ MixedResult run_mixed(std::size_t depth, std::size_t iters) {
     timeouts[slot] = q.schedule(now + 1'000'000'000, Payload{&sink, {1, 0, 0, 0}});
     if ((i & 1023) == 0 && q.size() > res.peak_depth) res.peak_depth = q.size();
   }
-  // Drain so both implementations pay their full cleanup cost.
+  // Drain so the timing includes the full cleanup cost.
   while (!q.empty()) {
     auto popped = q.pop();
     popped.fn();
-    ++executed;
   }
   res.wall_s = seconds_since(t0);
   res.events_per_sec = static_cast<double>(2 * iters) / res.wall_s;
-  res.executed = executed + sink * 0;  // keep `sink` alive
   return res;
 }
 
 /// The snapshot re-arm pattern: one shot is pending at any time; each tick
-/// cancels it and schedules a replacement. The seed queue only trimmed
-/// stale entries at the top of the heap, so its heap grew by one entry per
-/// re-arm, without bound.
-template <typename Queue>
+/// cancels it and schedules a replacement. A queue that trims stale
+/// entries only at the top of its heap grows by one entry per re-arm.
 std::pair<double, std::size_t> run_rearm(std::size_t rearms) {
-  Queue q;
+  sim::EventQueue q;
   std::uint64_t sink = 0;
   std::size_t peak_heap = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -200,7 +120,7 @@ int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::JsonReport report("perf_event_core");
   bench::banner(
-      "Event-core performance: slab/4-ary heap vs priority_queue+hash-map",
+      "Event-core performance: slab/4-ary heap event queue",
       "not a paper figure — the engineering floor under every figure "
       "reproduction (millions of packet events per evaluation run)");
 
@@ -208,43 +128,22 @@ int main(int argc, char** argv) {
   const std::size_t kIters = bench::scaled<std::size_t>(2'000'000, 300'000);
   constexpr std::size_t kDepth = 10'000;
 
-  const MixedResult legacy = run_mixed<LegacyEventQueue>(kDepth, kIters);
-  const MixedResult fresh = run_mixed<sim::EventQueue>(kDepth, kIters);
-  const double speedup = fresh.events_per_sec / legacy.events_per_sec;
+  const MixedResult mixed = run_mixed(kDepth, kIters);
 
   std::cout << "\nmixed workload (" << kIters << " lifecycles, depth "
             << kDepth << "):\n"
-            << "  legacy: " << legacy.events_per_sec / 1e6 << " M events/s ("
-            << legacy.wall_s << " s, peak depth " << legacy.peak_depth
-            << ")\n"
-            << "  new:    " << fresh.events_per_sec / 1e6 << " M events/s ("
-            << fresh.wall_s << " s, peak depth " << fresh.peak_depth << ")\n"
-            << "  speedup: " << speedup << "x\n";
-
-  bench::check(legacy.executed == fresh.executed,
-               "identical events executed by both implementations");
-  bench::check(legacy.peak_depth == fresh.peak_depth,
-               "identical peak queue depth (same pending-set evolution)");
-  bench::check(speedup >= 2.0,
-               "new queue is >= 2x the legacy queue on the mixed workload");
+            << "  " << mixed.events_per_sec / 1e6 << " M events/s ("
+            << mixed.wall_s << " s, peak depth " << mixed.peak_depth << ")\n";
 
   // --- Workload 2: cancel/re-arm churn (the stale-entry leak) -------------
   const std::size_t kRearms = bench::scaled<std::size_t>(1'000'000, 200'000);
-  const auto [legacy_rearm_s, legacy_peak_heap] =
-      run_rearm<LegacyEventQueue>(kRearms);
-  const auto [fresh_rearm_s, fresh_peak_heap] =
-      run_rearm<sim::EventQueue>(kRearms);
+  const auto [rearm_s, peak_heap] = run_rearm(kRearms);
 
   std::cout << "\nre-arm churn (" << kRearms << " cancel+reschedule):\n"
-            << "  legacy: " << legacy_rearm_s << " s, peak heap "
-            << legacy_peak_heap << " entries (1 live event)\n"
-            << "  new:    " << fresh_rearm_s << " s, peak heap "
-            << fresh_peak_heap << " entries\n";
+            << "  " << rearm_s << " s, peak heap " << peak_heap
+            << " entries (1 live event)\n";
 
-  bench::check(legacy_peak_heap >= kRearms / 2,
-               "seed queue leaks stale heap entries under re-arm churn");
-  bench::check(fresh_peak_heap <= 4,
-               "new queue heap stays O(live) under re-arm churn");
+  bench::check(peak_heap <= 4, "heap stays O(live) under re-arm churn");
 
   // --- Workload 3: Simulator end-to-end -----------------------------------
   // static: the local Timer struct below names it, which requires a
@@ -295,16 +194,10 @@ int main(int argc, char** argv) {
                "simulator executed the full event budget");
 
   report.metric("mixed_lifecycles", static_cast<double>(2 * kIters));
-  report.metric("mixed_events_per_sec_legacy", legacy.events_per_sec);
-  report.metric("mixed_events_per_sec_new", fresh.events_per_sec);
-  report.metric("mixed_speedup", speedup);
-  report.metric("mixed_wall_s_legacy", legacy.wall_s);
-  report.metric("mixed_wall_s_new", fresh.wall_s);
-  report.metric("peak_queue_depth", static_cast<double>(fresh.peak_depth));
-  report.metric("rearm_peak_heap_entries_legacy",
-                static_cast<double>(legacy_peak_heap));
-  report.metric("rearm_peak_heap_entries_new",
-                static_cast<double>(fresh_peak_heap));
+  report.metric("mixed_events_per_sec_new", mixed.events_per_sec);
+  report.metric("mixed_wall_s_new", mixed.wall_s);
+  report.metric("peak_queue_depth", static_cast<double>(mixed.peak_depth));
+  report.metric("rearm_peak_heap_entries_new", static_cast<double>(peak_heap));
   report.metric("sim_events_per_sec", sim_rate);
   report.metric("sim_peak_pending", static_cast<double>(peak_pending));
   report.metric("sim_executed", static_cast<double>(s.stats().executed));

@@ -175,9 +175,7 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     cp.set_report_endpoint(make_endpoint());
     observer_->register_device(&cp, make_endpoint());
     ptp_->manage(&cp.clock());
-    if (options_.start_register_poll) {
-      cp.start_register_poll();
-    }
+    cp.start_register_poll();  // No-op unless proactive_register_poll.
   }
   if (options_.start_ptp) ptp_->start();
 
@@ -253,8 +251,6 @@ void Network::enable_tracing(std::size_t capacity) {
   tr.name_track(obs::observer_track(), "assembly");
   tr.name_process(obs::kPollerPid, "polling-observer");
   tr.name_track(obs::poller_track(), "sweeps");
-  tr.name_process(obs::kPacketTapPid, "packet-taps");
-  tr.name_track(obs::packet_tap_track(), "links");
 }
 
 bool Network::export_chrome_trace(const std::string& path) const {

@@ -88,8 +88,6 @@ struct NetworkOptions {
 
   /// Start the PTP correction loop (on by default, as on the testbed).
   bool start_ptp = true;
-  /// Start each control plane's proactive register poll loop.
-  bool start_register_poll = false;
 
   /// Fabrics up to this many switches register the classic per-instance
   /// "switch.<name>.*" metric series; larger fabrics register only the

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/inplace_callback.hpp"
+
 namespace speedlight::net {
 
 void Link::send(PooledPacket pkt) {
@@ -30,10 +32,7 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
 
   ++packets_sent_;
   const sim::SimTime arrives = departed + propagation_;
-  if (on_depart_) on_depart_(*pkt, departed);
-
-  auto arrival = [this, pkt = std::move(pkt), arrives]() mutable {
-    if (on_arrive_) on_arrive_(*pkt, arrives);
+  auto arrival = [this, pkt = std::move(pkt)]() mutable {
     dst_->receive(std::move(pkt), dst_port_);
   };
   static_assert(sim::InplaceCallback::fits_inline<decltype(arrival)>,

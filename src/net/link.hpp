@@ -12,7 +12,6 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
-#include "sim/inplace_callback.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -20,11 +19,6 @@ namespace speedlight::net {
 
 class Link {
  public:
-  /// Observer hooks for audit/instrumentation: called with the packet and
-  /// the simulation time at which the event occurs. Inline-stored (no
-  /// std::function heap churn): taps sit on the per-packet delivery path.
-  using Tap = sim::InplaceFunction<void(const Packet&, sim::SimTime)>;
-
   Link(sim::Simulator& sim, double bandwidth_bps, sim::Duration propagation,
        sim::Rng rng)
       : sim_(sim),
@@ -47,7 +41,7 @@ class Link {
 
   /// Hand over a packet whose serialization the sender already paced (a
   /// switch egress port drains its queue at the link rate and calls this at
-  /// serialization-complete time). Applies only the loss model, taps, and
+  /// serialization-complete time). Applies only the loss model and
   /// propagation delay; FIFO as long as callers pass non-decreasing times.
   void deliver(PooledPacket pkt, sim::SimTime departed);
 
@@ -58,11 +52,6 @@ class Link {
   /// Force the next `n` packets to be dropped (deterministic fault
   /// injection for tests).
   void drop_next(std::uint64_t n) { forced_drops_ += n; }
-
-  /// Audit hooks: departure is when serialization completes (the packet has
-  /// fully left the sender); arrival is delivery at the far end.
-  void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
-  void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
   /// Route arrivals through a keyed endpoint: gives the link an intrinsic
   /// same-timestamp merge rank (its construction order). Unwired (the
@@ -95,8 +84,6 @@ class Link {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;
 
-  Tap on_depart_;
-  Tap on_arrive_;
   sim::Endpoint arrival_;
 };
 

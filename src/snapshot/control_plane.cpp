@@ -194,14 +194,6 @@ void ControlPlane::handle_notification_nocs(UnitState& u, const Notification& n)
                         track_, sim_.now(), current,
                         obs::pack_unit(n.unit));
   if (current == u.ctrl_sid) return;
-  const std::uint64_t window = options_.snapshot.slots();
-  VirtualSid stamp_from = u.ctrl_sid + 1;
-  if (current > window && stamp_from < current - window) {
-    stamp_from = current - window;
-  }
-  for (VirtualSid i = stamp_from; i <= current; ++i) {
-    u.advance_time.emplace(i, n.timestamp);
-  }
   u.ctrl_sid = current;
   advance_reads(u, n.timestamp);
 }
@@ -222,8 +214,15 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
         read_and_report(u, i, finalize_ts);
       }
     }
+    for (auto it = u.advance_time.begin();
+         it != u.advance_time.end() && it->first <= floor;) {
+      it = u.advance_time.erase(it);
+    }
   } else {
-    // Batched register read, then the downward value-inference walk. The
+    // Batched register read, then the downward value-inference walk. Every
+    // id in [from, floor] was skipped past by the one notification that
+    // advanced the unit (last_read == ctrl_sid before each advance), so an
+    // inferred id's advance time is that notification's timestamp. The
     // unit is captured by index: units_ may reallocate if units are added
     // after wiring (it is not, but cheap insurance).
     const auto unit_idx = static_cast<std::size_t>(&u - units_.data());
@@ -256,8 +255,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
         } else if (have_valid) {
           r.local_value = valid_value;
           r.inferred = true;
-          const auto at = up->advance_time.find(i);
-          r.advance_time = at != up->advance_time.end() ? at->second : finalize_ts;
+          r.advance_time = finalize_ts;
         } else {
           r.consistent = false;  // No valid reference: conservative.
         }
@@ -267,18 +265,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
         if (i == from) break;  // VirtualSid is unsigned.
       }
       for (const auto& r : reports) ship(unit_idx, r);
-      for (auto it2 = up->advance_time.begin();
-           it2 != up->advance_time.end() && it2->first <= floor;) {
-        it2 = up->advance_time.erase(it2);
-      }
     });
-  }
-
-  if (options_.snapshot.channel_state) {
-    for (auto it = u.advance_time.begin();
-         it != u.advance_time.end() && it->first <= floor;) {
-      it = u.advance_time.erase(it);
-    }
   }
 }
 

@@ -48,7 +48,7 @@ class ControlPlane {
     /// those channels out of completion by hand.
     bool probe_on_initiate = false;
     /// Periodically read data-plane registers to recover from lost
-    /// notifications.
+    /// notifications (core::Network starts the loop when this is set).
     bool proactive_register_poll = false;
     sim::Duration register_poll_interval = sim::msec(10);
     /// Register per-device "cp.<name>.*" series with the flight recorder.
@@ -125,7 +125,8 @@ class ControlPlane {
   /// Entry point wired to the notification channel (Figure 7 handlers).
   void on_notification(const Notification& n);
 
-  /// Start the optional proactive register-poll loop.
+  /// Start the proactive register-poll loop; a no-op unless
+  /// `Options::proactive_register_poll` is set.
   void start_register_poll();
 
   [[nodiscard]] net::NodeId device() const { return device_; }
@@ -149,7 +150,9 @@ class ControlPlane {
     std::vector<bool> completion_mask;
     VirtualSid last_read = 0;                 ///< lastRead[unit]
     std::set<VirtualSid> inconsistent;
-    /// Audit: data-plane timestamps of the advance to each id.
+    /// Audit: data-plane timestamps of the advance to each id (channel-state
+    /// path; without channel state every unread id advanced at the
+    /// timestamp of the notification being handled).
     std::map<VirtualSid, sim::SimTime> advance_time;
   };
 

@@ -187,15 +187,28 @@ TEST(ControlPlaneNoCs, SkippedIdsInferred) {
   ControlPlane::Options opts;
   opts.auto_reinitiate = false;
   Fixture f(nocs_config(), opts);
+  std::vector<sim::SimTime> notified_at;
+  f.unit->notify = [&f, &notified_at](const Notification& n) {
+    notified_at.push_back(n.timestamp);
+    f.cp->on_notification(n);
+  };
   f.unit->state = 77;
-  f.unit->packet(3, 0);  // Jump 0 -> 3.
+  f.sim.run_until(sim::usec(5));  // A nonzero advance time.
+  f.unit->packet(3, 0);           // Jump 0 -> 3.
   f.sim.run_until(sim::msec(800));
+  ASSERT_EQ(notified_at.size(), 1u);
+  ASSERT_NE(notified_at[0], 0);
   for (VirtualSid i = 1; i <= 3; ++i) {
     const UnitReport* r = f.report_for(i);
     ASSERT_NE(r, nullptr) << i;
     EXPECT_TRUE(r->consistent) << i;
     EXPECT_EQ(r->local_value, 77u) << i;
     EXPECT_EQ(r->inferred, i != 3) << i;
+    if (r->inferred) {
+      // Skipped ids advanced with the notification that skipped them.
+      EXPECT_EQ(r->advance_time, notified_at[0]) << i;
+      EXPECT_EQ(r->finalize_time, notified_at[0]) << i;
+    }
   }
 }
 

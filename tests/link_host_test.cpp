@@ -12,12 +12,17 @@ namespace {
 
 class SinkNode final : public Node {
  public:
-  SinkNode(NodeId id) : Node(id, "sink") {}
+  SinkNode(sim::Simulator& sim, NodeId id) : Node(id, "sink"), sim_(sim) {}
   void receive(PooledPacket pkt, PortId port) override {
     received.push_back({*pkt, port});
+    arrivals.push_back(sim_.now());
   }
   [[nodiscard]] bool is_host() const override { return false; }
   std::vector<std::pair<Packet, PortId>> received;
+  std::vector<sim::SimTime> arrivals;
+
+ private:
+  sim::Simulator& sim_;
 };
 
 Packet make_packet(std::uint32_t size) {
@@ -28,7 +33,7 @@ Packet make_packet(std::uint32_t size) {
 
 TEST(Link, SerializationPlusPropagation) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, /*bandwidth=*/1e9, /*propagation=*/sim::usec(1), sim::Rng(1));
   link.connect(&sink, 3);
   link.send(make_packet(1250));  // 1250B at 1Gbps = 10us serialization.
@@ -40,36 +45,34 @@ TEST(Link, SerializationPlusPropagation) {
 
 TEST(Link, ArrivalTimeExact) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 1e9, sim::usec(1), sim::Rng(1));
   link.connect(&sink, 0);
-  sim::SimTime arrival = -1;
-  link.set_arrive_tap([&](const Packet&, sim::SimTime t) { arrival = t; });
   link.send(make_packet(1250));
   sim.run_until(sim::sec(1));
-  EXPECT_EQ(arrival, sim::usec(11));  // 10us serialize + 1us propagate.
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  // 10us serialize + 1us propagate.
+  EXPECT_EQ(sink.arrivals[0], sim::usec(11));
 }
 
 TEST(Link, BackToBackPacketsQueueOnSerialization) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 1e9, 0, sim::Rng(1));
   link.connect(&sink, 0);
-  std::vector<sim::SimTime> arrivals;
-  link.set_arrive_tap([&](const Packet&, sim::SimTime t) { arrivals.push_back(t); });
   link.send(make_packet(1250));
   link.send(make_packet(1250));
   link.send(make_packet(1250));
   sim.run_until(sim::sec(1));
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], sim::usec(10));
-  EXPECT_EQ(arrivals[1], sim::usec(20));
-  EXPECT_EQ(arrivals[2], sim::usec(30));
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  EXPECT_EQ(sink.arrivals[0], sim::usec(10));
+  EXPECT_EQ(sink.arrivals[1], sim::usec(20));
+  EXPECT_EQ(sink.arrivals[2], sim::usec(30));
 }
 
 TEST(Link, FifoDeliveryOrder) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 100e9, sim::nsec(500), sim::Rng(1));
   link.connect(&sink, 0);
   for (std::uint64_t i = 0; i < 50; ++i) {
@@ -86,7 +89,7 @@ TEST(Link, FifoDeliveryOrder) {
 
 TEST(Link, ForcedDropsDeterministic) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 1e9, 0, sim::Rng(1));
   link.connect(&sink, 0);
   link.drop_next(2);
@@ -99,7 +102,7 @@ TEST(Link, ForcedDropsDeterministic) {
 
 TEST(Link, RandomLossRate) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 100e9, 0, sim::Rng(7));
   link.connect(&sink, 0);
   link.set_loss_probability(0.2);
@@ -110,7 +113,7 @@ TEST(Link, RandomLossRate) {
 
 TEST(Link, DeliverSkipsSerialization) {
   sim::Simulator sim;
-  SinkNode sink(1);
+  SinkNode sink(sim, 1);
   Link link(sim, 1e9, sim::usec(3), sim::Rng(1));
   link.connect(&sink, 0);
   sim.at(sim::usec(10), [&]() { link.deliver(make_packet(1500), sim.now()); });
@@ -122,7 +125,7 @@ TEST(Link, DeliverSkipsSerialization) {
 
 TEST(Host, SendStampsIdentity) {
   sim::Simulator sim;
-  SinkNode sink(9);
+  SinkNode sink(sim, 9);
   Host host(sim, 5, "h5");
   Link link(sim, 25e9, sim::nsec(500), sim::Rng(1));
   link.connect(&sink, 2);

@@ -120,7 +120,7 @@ TEST(LintTool, ConcurrencyScopeClassification) {
   EXPECT_TRUE(lint::is_concurrency_scope("src/obs/metrics.hpp"));
   EXPECT_TRUE(lint::is_concurrency_scope("src/net/link.hpp"));
   EXPECT_FALSE(lint::is_concurrency_scope("src/check/fuzzer.cpp"));
-  EXPECT_FALSE(lint::is_concurrency_scope("src/stats/histogram.cpp"));
+  EXPECT_FALSE(lint::is_concurrency_scope("src/stats/cdf.cpp"));
 }
 
 TEST(LintTool, ConcurrencyRulesRelaxOutsideTheirScope) {
