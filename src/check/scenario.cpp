@@ -343,6 +343,7 @@ Scenario read_scenario(std::istream& is) {
   std::string line;
   std::size_t lineno = 0;
   bool saw_header = false;
+  std::size_t modulus_line = 0;
   while (std::getline(is, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -404,6 +405,7 @@ Scenario read_scenario(std::istream& is) {
       s.channel_state = v != 0;
     } else if (key == "modulus") {
       if (!(ls >> s.modulus)) fail(lineno, "bad modulus");
+      modulus_line = lineno;
     } else if (key == "drift_ppm") {
       if (!(ls >> s.drift_ppm)) fail(lineno, "bad drift_ppm");
     } else if (key == "ptp_stddev_ns") {
@@ -473,6 +475,12 @@ Scenario read_scenario(std::istream& is) {
     }
   }
   if (!saw_header) fail(lineno, "empty scenario (missing 'scenario v1')");
+  // Checked after every line is read: the window depends on channel_state.
+  if (snap::SidSpace(s.modulus).max_spread(s.channel_state) == 0) {
+    fail(modulus_line, "modulus " + std::to_string(s.modulus) +
+                           " leaves no rollover window" +
+                           (s.channel_state ? "" : " without channel state"));
+  }
   return s;
 }
 

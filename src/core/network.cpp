@@ -15,6 +15,15 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
       sim_(options_.seed),
       timing_(options_.timing) {
   spec_.validate();
+  // A wire id space with no rollover window makes the observer refuse every
+  // request.
+  if (options_.snapshot.sid_space().max_spread(
+          options_.snapshot.channel_state) == 0) {
+    throw std::invalid_argument(
+        "wire id modulus " + std::to_string(options_.snapshot.wire_id_modulus) +
+        " leaves no rollover window" +
+        (options_.snapshot.channel_state ? "" : " without channel state"));
+  }
 
   // Struct-of-arrays topology core: the CSR index and the shared interned
   // route base are built once and consumed by the per-switch routing
@@ -48,10 +57,7 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.cos_classes = options_.cos_classes;
     so.classifier = options_.classifier;
     so.queue_capacity = options_.queue_capacity;
-    so.fabric_delay = options_.fabric_delay;
     so.notification_mode = options_.notification_mode;
-    so.int_enabled = options_.int_enabled;
-    so.ecn_threshold = options_.ecn_threshold;
     so.per_instance_metrics = s <= options_.per_instance_metrics_limit;
     so.control = options_.control;
     so.wire = options_.wire;

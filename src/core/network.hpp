@@ -51,7 +51,6 @@ struct NetworkOptions {
   /// Maps packets to CoS classes (null = class 0); applied on every switch.
   std::function<std::size_t(const net::Packet&)> classifier;
   std::size_t queue_capacity = 4096;
-  sim::Duration fabric_delay = sim::nsec(400);
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
   /// Control-plane wire format (DESIGN.md section 16): notifications and
@@ -60,11 +59,6 @@ struct NetworkOptions {
   /// decoders. The `wire.*` metrics series counts the bytes (notification/
   /// report/keyframe/delta) and the fallback and drop diagnostics.
   snap::WireOptions wire;
-
-  /// Enable In-band Network Telemetry on all switches.
-  bool int_enabled = false;
-  /// ECN marking threshold in packets (0 = off), applied on all switches.
-  std::size_t ecn_threshold = 0;
 
   /// The observer's own setting; its snapshot config, wire format and wire
   /// accounting always follow the network's.

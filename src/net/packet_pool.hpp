@@ -2,10 +2,8 @@
 //
 // A packet crosses many events during its life (fabric hop, egress queue,
 // serialization, propagation); without pooling every one of those event
-// captures either copied the ~120-byte Packet or heap-allocated it, and an
-// INT-marked packet reallocated its int_stack at every hop of every packet.
-// PacketPool hands out recycled Packet objects whose int_stack keeps its
-// capacity across lives; PooledPacket is the 8-byte move-only handle that
+// captures either copied the Packet or heap-allocated it. PacketPool hands
+// out recycled Packet objects; PooledPacket is the 8-byte move-only handle that
 // travels through links, switch queues, and event callbacks, returning the
 // slot to the pool when the packet dies (delivery, drop, or probe sink).
 //
@@ -30,7 +28,7 @@ class PacketPool {
  public:
   static PacketPool& instance();
 
-  /// A reset Packet (int_stack cleared but its capacity retained).
+  /// A reset (default-state) Packet.
   [[nodiscard]] Packet* acquire();
 
   /// Return a packet to the freelist. `pkt` must come from acquire().

@@ -10,6 +10,9 @@
 
 namespace speedlight::snap {
 
+/// Value register array length per unit over the full 32-bit wire space.
+inline constexpr std::size_t kUnboundedValueSlots = 64;
+
 struct SnapshotConfig {
   /// Record channel (in-flight) state. Requires Last Seen arrays and the
   /// Figure 7 "with channel state" control plane.
@@ -19,11 +22,6 @@ struct SnapshotConfig {
   /// exercised); small values (e.g. 8, 16) exercise rollover, as in the
   /// paper's "+ Wrap Around" variant.
   std::uint32_t wire_id_modulus = 0;
-
-  /// Snapshot Value register array length per unit. Must be >= 1; when the
-  /// wire space is bounded it defaults to the modulus (one slot per live
-  /// id), the layout the paper uses.
-  std::size_t value_slots = 64;
 
   /// When true (the Speedlight data plane), an id jump > 1 cannot back-fill
   /// intermediate snapshot slots (Section 5.3) and the control plane marks
@@ -35,9 +33,11 @@ struct SnapshotConfig {
     return SidSpace(wire_id_modulus);
   }
 
+  /// Snapshot Value register array length per unit: one slot per live id
+  /// when the wire space is bounded (the layout the paper uses), otherwise
+  /// kUnboundedValueSlots.
   [[nodiscard]] std::size_t slots() const {
-    if (wire_id_modulus != 0) return wire_id_modulus;
-    return value_slots == 0 ? 1 : value_slots;
+    return wire_id_modulus != 0 ? wire_id_modulus : kUnboundedValueSlots;
   }
 };
 

@@ -65,9 +65,12 @@ class SidSpace {
   }
 
   /// Largest in-system id spread the variant tolerates (used by the
-  /// observer's out-of-band rollover enforcement).
+  /// observer's out-of-band rollover enforcement). 0 means the space is too
+  /// small for the variant to run at all: modulus 1, or 2-3 without
+  /// channel state.
   [[nodiscard]] constexpr std::uint64_t max_spread(bool channel_state) const noexcept {
-    return channel_state ? modulus_ - 1 : modulus_ / 2 - 1;
+    const std::uint64_t span = channel_state ? modulus_ : modulus_ / 2;
+    return span == 0 ? 0 : span - 1;
   }
 
  private:

@@ -16,7 +16,6 @@ enum class MetricKind : std::uint8_t {
   EwmaInterarrival,  ///< Section 8's two-phase EWMA of interarrival time.
   EwmaPacketRate,    ///< Derived packets-per-second rate (Section 8.4).
   ForwardingVersion, ///< FIB version tag last applied (Section 10).
-  EcnMarkCount,      ///< Packets ECN-marked at this egress.
 };
 
 /// Whether channel (in-flight) state is meaningful for a metric: flow
@@ -52,8 +51,6 @@ enum class MetricKind : std::uint8_t {
       return "ewma_packet_rate";
     case MetricKind::ForwardingVersion:
       return "forwarding_version";
-    case MetricKind::EcnMarkCount:
-      return "ecn_mark_count";
   }
   return "unknown";
 }

@@ -294,14 +294,6 @@ void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
   // Counter update strictly after the snapshot logic (see header comment).
   port.ingress.counters().on_packet(*pkt, now);
 
-  // sFlow-style sampling mirror (independent of the snapshot machinery).
-  if (sample_rate_ > 0 && sample_sink_ && pkt->counts_for_metrics() &&
-      rng_.chance(1.0 / sample_rate_)) {
-    // Observability mirror, not protocol data path: collectors may buffer.
-    sim::det::DetAllow allow_collector;
-    sample_sink_(id(), in_port, *pkt);
-  }
-
   // Probes are single-hop: they exist to carry markers across one link.
   if (pkt->is_probe()) return;
 
@@ -336,7 +328,7 @@ void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
   };
   static_assert(sim::InplaceCallback::fits_inline<decltype(fabric_hop)>,
                 "fabric-hop event must not heap-allocate");
-  sim_.after(options_.fabric_delay, std::move(fabric_hop));
+  sim_.after(kFabricDelay, std::move(fabric_hop));
 }
 
 void Switch::enqueue(net::PortId out, net::PooledPacket pkt,
@@ -399,21 +391,6 @@ void Switch::process_egress(net::PortId out, net::Packet& pkt,
     pkt.audit_virtual_sid = dp.virtual_sid();
   }
   port.egress.counters().on_packet(pkt, now);
-
-  if (options_.ecn_threshold > 0 && pkt.is_data() &&
-      port.queue.size() >= options_.ecn_threshold && !pkt.ecn_ce) {
-    pkt.ecn_ce = true;
-    port.egress.counters().count_ecn_mark();
-  }
-
-  if (options_.int_enabled && pkt.int_marked && pkt.is_data()) {
-    // int_stack capacity is retained across pool lives, so growth is a
-    // per-slot one-off, not per-packet work.
-    sim::det::DetAllow allow_int_growth;
-    pkt.int_stack.push_back({id(), out,
-                             static_cast<std::uint32_t>(port.queue.size()),
-                             now});
-  }
 }
 
 void Switch::transmit(net::PortId out, net::PooledPacket pkt) {
@@ -441,7 +418,7 @@ void Switch::do_inject_initiation(net::PortId port_id, snap::WireSid sid) {
     Port& port = ports_.at(port_id);
     const snap::WireSid stamped =
         port.ingress.ensure_dataplane().on_initiation(sid, sim_.now());
-    sim_.after(options_.fabric_delay, [this, port_id, stamped]() {
+    sim_.after(kFabricDelay, [this, port_id, stamped]() {
       Port& p = ports_.at(port_id);
       p.egress.ensure_dataplane().on_initiation(stamped, sim_.now());
       // The initiation is dropped after processing.
@@ -486,7 +463,7 @@ void Switch::do_inject_probe(net::PortId port_id) {
         };
         static_assert(sim::InplaceCallback::fits_inline<decltype(flood)>,
                       "probe-flood event must not heap-allocate");
-        sim_.after(options_.fabric_delay, std::move(flood));
+        sim_.after(kFabricDelay, std::move(flood));
       }
     }
   });

@@ -64,6 +64,10 @@ class SwitchAudit {
   }
 };
 
+/// Ingress-to-egress crossing of the switching fabric, charged once per
+/// forwarded packet, initiation and probe copy.
+inline constexpr sim::Duration kFabricDelay = sim::nsec(400);
+
 struct SwitchOptions {
   std::uint16_t num_ports = 0;
   /// Partial deployment: a disabled switch forwards packets (and any
@@ -84,7 +88,6 @@ struct SwitchOptions {
   std::function<std::size_t(const net::Packet&)> classifier;
 
   std::size_t queue_capacity = 1024;       ///< Packets per class per port.
-  sim::Duration fabric_delay = sim::nsec(400);
 
   /// ASIC->CPU notification path: raw-socket DMA (the paper's choice) or
   /// the batched digest stream it rejected (kept for the ablation bench).
@@ -96,14 +99,6 @@ struct SwitchOptions {
   /// outlive the switch.
   snap::WireOptions wire;
   snap::WireStats* wire_stats = nullptr;
-
-  /// Append INT per-hop metadata to marked data packets at egress (the
-  /// path-level telemetry Speedlight is contrasted with in Section 2).
-  bool int_enabled = false;
-
-  /// ECN: mark data packets (congestion experienced) when their egress
-  /// queue exceeds this many packets at dequeue time. 0 disables.
-  std::size_t ecn_threshold = 0;
 
   /// Register this switch's named per-instance counters (drops, notif
   /// transport, snapshot activity) with the flight recorder's registry.
@@ -165,20 +160,6 @@ class Switch final : public net::Node {
 
   void set_audit(SwitchAudit* audit) { audit_ = audit; }
 
-  /// sFlow-style 1-in-`rate` ingress packet sampling; mirrored records go
-  /// to `sink` (see polling/sampling.hpp for a collector). Call before or
-  /// after finalize(); rate 0 disables.
-  // Sampling fires for 1-in-rate packets (rate >= 100 in every config), so
-  // the type-erasure cost is off the common path, and collectors want to
-  // bind arbitrary copyable state.
-  void enable_sampling(std::uint32_t rate,
-                       // speedlight-lint: allow(std-function-in-datapath) rare path, above.
-                       std::function<void(net::NodeId, net::PortId,
-                                          const net::Packet&)> sink) {
-    sample_rate_ = rate;
-    sample_sink_ = std::move(sink);
-  }
-
   /// Ingress channel indices within a unit.
   static constexpr std::uint16_t kIngressExternalChannel = 0;
   static constexpr std::uint16_t kIngressCpuChannel = 1;
@@ -226,9 +207,6 @@ class Switch final : public net::Node {
   std::uint64_t fwd_drops_ = 0;
   std::uint64_t ttl_drops_ = 0;
   std::uint64_t probe_serial_ = 0;
-  std::uint32_t sample_rate_ = 0;
-  // speedlight-lint: allow(std-function-in-datapath) see enable_sampling.
-  std::function<void(net::NodeId, net::PortId, const net::Packet&)> sample_sink_;
 };
 
 }  // namespace speedlight::sw

@@ -68,6 +68,24 @@ TEST(Scenario, ParserRejectsMalformedFault) {
       std::invalid_argument);
 }
 
+TEST(Scenario, ParserRejectsModulusWithoutRolloverWindow) {
+  // Modulus 1 leaves no rollover window; 2 and 3 leave none without channel
+  // state. The window depends on channel_state, whatever the line order.
+  for (const char* body : {"modulus 1\nchannel_state 1\n",
+                           "modulus 2\nchannel_state 0\n",
+                           "channel_state 0\nmodulus 3\n"}) {
+    EXPECT_THROW(
+        (void)check::scenario_from_string(std::string("scenario v1\n") + body),
+        std::invalid_argument)
+        << body;
+  }
+  for (const char* body :
+       {"modulus 2\nchannel_state 1\n", "modulus 4\nchannel_state 0\n"}) {
+    EXPECT_NO_THROW(
+        (void)check::scenario_from_string(std::string("scenario v1\n") + body));
+  }
+}
+
 TEST(Scenario, ParserAcceptsCommentsAndBlankLines) {
   const auto s = check::generate_scenario(3);
   const std::string text =

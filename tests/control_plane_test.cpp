@@ -109,15 +109,10 @@ struct Fixture {
 SnapshotConfig cs_config() {
   SnapshotConfig c;
   c.channel_state = true;
-  c.value_slots = 64;
   return c;
 }
 
-SnapshotConfig nocs_config() {
-  SnapshotConfig c;
-  c.value_slots = 64;
-  return c;
-}
+SnapshotConfig nocs_config() { return SnapshotConfig{}; }
 
 TEST(ControlPlaneCs, CompletesWhenLastSeenCatchesUp) {
   Fixture f(cs_config());

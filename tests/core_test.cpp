@@ -28,6 +28,21 @@ TEST(Network, RejectsInvalidSpec) {
   EXPECT_THROW(Network(bad, NetworkOptions{}), std::invalid_argument);
 }
 
+TEST(Network, RejectsModulusWithoutRolloverWindow) {
+  for (const std::uint32_t modulus : {1u, 2u, 3u}) {
+    NetworkOptions opt;
+    opt.snapshot.wire_id_modulus = modulus;
+    EXPECT_THROW(Network(net::make_star(2), opt), std::invalid_argument)
+        << "modulus " << modulus;
+  }
+  NetworkOptions cs;
+  cs.snapshot.channel_state = true;
+  cs.snapshot.wire_id_modulus = 1;
+  EXPECT_THROW(Network(net::make_star(2), cs), std::invalid_argument);
+  cs.snapshot.wire_id_modulus = 2;  // Window of 1 with Last Seen arrays.
+  EXPECT_NO_THROW(Network(net::make_star(2), cs));
+}
+
 TEST(Network, DeterministicAcrossRuns) {
   auto run = []() {
     NetworkOptions opt;

@@ -84,6 +84,14 @@ TEST(SidSpace, MaxSpreadMatchesVariant) {
   const SidSpace s(16);
   EXPECT_EQ(s.max_spread(/*channel_state=*/true), 15u);
   EXPECT_EQ(s.max_spread(/*channel_state=*/false), 7u);
+  // Spaces too small for a variant leave a window of 0, never a wrapped
+  // 2^64 - 1.
+  EXPECT_EQ(SidSpace(1).max_spread(/*channel_state=*/false), 0u);
+  EXPECT_EQ(SidSpace(1).max_spread(/*channel_state=*/true), 0u);
+  EXPECT_EQ(SidSpace(2).max_spread(/*channel_state=*/false), 0u);
+  EXPECT_EQ(SidSpace(3).max_spread(/*channel_state=*/false), 0u);
+  EXPECT_EQ(SidSpace(2).max_spread(/*channel_state=*/true), 1u);
+  EXPECT_EQ(SidSpace(4).max_spread(/*channel_state=*/false), 1u);
 }
 
 TEST(SidSpace, RolloverRoundTripLongRun) {

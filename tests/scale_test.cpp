@@ -9,8 +9,6 @@
 #include "net/topology.hpp"
 #include "obs/process_stats.hpp"
 #include "test_topologies.hpp"
-#include "polling/int_telemetry.hpp"
-#include "polling/sampling.hpp"
 #include "workload/basic.hpp"
 
 namespace speedlight {
@@ -97,9 +95,9 @@ TEST(Scale, FatTree6Conservation) {
 }
 
 TEST(FeatureInteraction, EverythingOnAtOnce) {
-  // CoS + ECN + INT + sampling + channel-state snapshots + flowlet + small
+  // CoS + flowlet + digest notifications + channel-state snapshots + small
   // wire-id space, simultaneously: features must not interfere with the
-  // protocol's guarantees.
+  // protocol's guarantees (DESIGN.md property 8).
   NetworkOptions opt;
   opt.seed = 99;
   opt.snapshot.channel_state = true;
@@ -109,24 +107,8 @@ TEST(FeatureInteraction, EverythingOnAtOnce) {
   opt.classifier = [](const net::Packet& p) {
     return static_cast<std::size_t>(p.flow % 2);
   };
-  opt.ecn_threshold = 16;
-  opt.int_enabled = true;
+  opt.notification_mode = snap::NotificationMode::Digest;
   Network net(check::make_topo(check::TopoKind::LeafSpine, 2, 2, 3), opt);
-
-  poll::SamplingCollector sampler(net.simulator(), 10);
-  auto sink = sampler.sink();
-  for (std::size_t s = 0; s < net.num_switches(); ++s) {
-    net.switch_at(s).enable_sampling(
-        10,
-        [&sink, &net](net::NodeId sw, net::PortId port, const net::Packet& p) {
-          sink({sw, port, p.size_bytes, net.simulator().now()});
-        });
-  }
-  poll::IntCollector int_collector;
-  int_collector.attach_to(net.host(5));
-  for (std::size_t h = 0; h < net.num_hosts(); ++h) {
-    net.host(h).set_int_marking(true);
-  }
 
   std::vector<std::unique_ptr<wl::Generator>> gens;
   for (std::size_t h = 0; h < net.num_hosts(); ++h) {
@@ -154,9 +136,8 @@ TEST(FeatureInteraction, EverythingOnAtOnce) {
       EXPECT_EQ(e->local_value, i->local_value + i->channel_value);
     }
   }
-  // The side-channels all saw traffic too.
-  EXPECT_GT(sampler.total_samples(), 50u);
-  EXPECT_GT(int_collector.telemetry_packets(), 100u);
+  // The rounds cut live traffic, not an idle fabric.
+  EXPECT_GT(net.host(5).packets_received(), 100u);
 }
 
 TEST(Scale, FatTree16LazyMaterialization) {
