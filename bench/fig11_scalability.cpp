@@ -94,8 +94,9 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
 //   * assembly accounting (DESIGN.md section 16): the observer folds unit
 //     reports into per-device digests as they arrive, so a round's
 //     aggregates are one entry per switch and the assembly tail stays flat
-//     as the fabric grows; the reports themselves are kept in a store of
-//     GlobalSnapshot::kSlotBytes per unit slot.
+//     as the fabric grows; the reports themselves are kept in a per-slot
+//     store that completion seals into packed columns of a few bytes a slot
+//     (GlobalSnapshot::store_bytes()).
 struct FatTreeRound {
   double spread_us = 0;
   double assemble_us = 0;
@@ -173,7 +174,7 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
   };
   report.metric(prefix + ".assembly_entries_per_round",
                 per_round(assembly_entries));
-  // The retained reports: slots x bytes per slot, a deterministic count.
+  // The retained reports of the sealed rounds, a deterministic count.
   report.metric(prefix + ".report_store_bytes_per_round",
                 per_round(store_bytes));
 

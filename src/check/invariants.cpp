@@ -66,9 +66,17 @@ std::vector<Violation> ConsistencyChecker::check_all(
 
 void ConsistencyChecker::check_structure(const snap::GlobalSnapshot& s,
                                          std::vector<Violation>& out) const {
+  const auto excluded = [&s](net::NodeId node) {
+    return std::find(s.excluded_devices.begin(), s.excluded_devices.end(),
+                     node) != s.excluded_devices.end();
+  };
   // Excluded devices' digests are zeroed, so this sums the rest.
   std::size_t expected = 0;
   for (const auto& d : s.digests) expected += d.expected;
+  // Refolding the stored reports must reproduce the digests the observer
+  // folded as they arrived: a store or decode error shows up here.
+  std::vector<snap::DeviceDigest> refolded(s.digests.size());
+  std::size_t dev = 0;  // reports() runs in device registration order.
   std::size_t stored = 0;
   for (const auto& r : s.reports()) {
     ++stored;
@@ -77,16 +85,32 @@ void ConsistencyChecker::check_structure(const snap::GlobalSnapshot& s,
       os << unit_str(r.unit) << " report carries sid " << r.sid;
       out.push_back({"structure", s.id, os.str()});
     }
-    if (std::find(s.excluded_devices.begin(), s.excluded_devices.end(),
-                  r.device) != s.excluded_devices.end()) {
+    if (excluded(r.device)) {
       out.push_back({"structure", s.id,
                      unit_str(r.unit) + " reported by excluded device"});
     }
+    while (dev < s.digests.size() && s.device_node(dev) != r.device) ++dev;
+    if (dev == s.digests.size()) {
+      out.push_back({"structure", s.id,
+                     unit_str(r.unit) + " out of device order"});
+      break;
+    }
+    refolded[dev].fold(r);
   }
   if (stored != expected) {
     std::ostringstream os;
     os << stored << " reports, expected " << expected;
     out.push_back({"structure", s.id, os.str()});
+  }
+  for (std::size_t d = 0; d < s.digests.size(); ++d) {
+    if (excluded(s.device_node(d))) continue;
+    refolded[d].expected = s.digests[d].expected;
+    if (refolded[d] != s.digests[d]) {
+      std::ostringstream os;
+      os << "device " << s.device_node(d)
+         << " digest differs from its stored reports";
+      out.push_back({"structure", s.id, os.str()});
+    }
   }
 }
 

@@ -99,19 +99,99 @@ void GlobalSnapshot::store(std::size_t slot, const UnitReport& r) {
                    .finalize_time = r.finalize_time};
 }
 
+namespace {
+/// A value record as its four columns, in Column order.
+std::array<std::uint64_t, 4> columns_of(const GlobalSnapshot::SlotValues& v) {
+  return {v.local_value, v.channel_value,
+          static_cast<std::uint64_t>(v.advance_time),
+          static_cast<std::uint64_t>(v.finalize_time)};
+}
+
+/// Narrowest byte width that holds every offset in [0, range].
+std::uint8_t width_for(std::uint64_t range) {
+  if (range == 0) return 0;
+  if (range <= 0xFF) return 1;
+  if (range <= 0xFFFF) return 2;
+  if (range <= 0xFFFFFFFF) return 4;
+  return 8;
+}
+}  // namespace
+
+void GlobalSnapshot::seal() {
+  const std::size_t slots = state_.size();
+  std::array<std::uint64_t, kColumns> lo;
+  lo.fill(std::numeric_limits<std::uint64_t>::max());
+  std::array<std::uint64_t, kColumns> hi{};
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if ((state_[slot] & kOccupied) == 0) continue;
+    const auto v = columns_of(values_[slot]);
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      if (v[c] == 0) {
+        state_[slot] |= static_cast<std::uint8_t>(kZero << c);
+        continue;
+      }
+      lo[c] = std::min(lo[c], v[c]);
+      hi[c] = std::max(hi[c], v[c]);
+    }
+  }
+  std::size_t bytes = 0;
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    if (lo[c] > hi[c]) lo[c] = hi[c] = 0;  // No nonzero value.
+    Column& col = columns_[c];
+    col.base = lo[c];
+    col.width = width_for(hi[c] - lo[c]);
+    col.offset = bytes;
+    bytes += slots * col.width;
+  }
+  packed_.assign(bytes, 0);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if ((state_[slot] & kOccupied) == 0) continue;
+    const auto v = columns_of(values_[slot]);
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const Column& col = columns_[c];
+      if (v[c] == 0) continue;
+      const std::uint64_t offset = v[c] - col.base;
+      std::uint8_t* p = packed_.data() + col.offset + slot * col.width;
+      for (std::size_t i = 0; i < col.width; ++i) {
+        p[i] = static_cast<std::uint8_t>(offset >> (8 * i));
+      }
+    }
+  }
+  std::vector<SlotValues>().swap(values_);  // Release, not just clear.
+  sealed_ = true;
+}
+
 UnitReport GlobalSnapshot::rebuild(std::size_t slot) const {
   const std::uint32_t d = layout_->device_of_slot[slot];
   const net::NodeId node = layout_->node_of_device[d];
-  const SlotValues& v = values_[slot];
+  std::array<std::uint64_t, kColumns> v{};
+  if (sealed_) {
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      if ((state_[slot] & (kZero << c)) != 0) continue;
+      const Column& col = columns_[c];
+      const std::uint8_t* p = packed_.data() + col.offset + slot * col.width;
+      std::uint64_t offset = 0;
+      for (std::size_t i = 0; i < col.width; ++i) {
+        offset |= std::uint64_t{p[i]} << (8 * i);
+      }
+      v[c] = col.base + offset;
+    }
+  } else {
+    v = columns_of(values_[slot]);
+  }
   return {.device = node,
           .unit = slot_unit(node, slot - layout_->first_slot[d]),
           .sid = id,
           .consistent = (state_[slot] & kConsistent) != 0,
           .inferred = (state_[slot] & kInferred) != 0,
-          .local_value = v.local_value,
-          .channel_value = v.channel_value,
-          .advance_time = v.advance_time,
-          .finalize_time = v.finalize_time};
+          .local_value = v[0],
+          .channel_value = v[1],
+          .advance_time = static_cast<sim::SimTime>(v[2]),
+          .finalize_time = static_cast<sim::SimTime>(v[3])};
+}
+
+net::NodeId GlobalSnapshot::device_node(std::size_t d) const {
+  return layout_->node_of_device[d];
 }
 
 std::optional<UnitReport> GlobalSnapshot::report(const net::UnitId& u) const {
@@ -145,6 +225,11 @@ Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
                       [this] { return std::uint64_t{devices_.size()}; });
   reg.register_reader("observer.units", MetricKind::Gauge,
                       [this] { return std::uint64_t{total_units_}; });
+  reg.register_reader("observer.store_bytes", MetricKind::Gauge, [this] {
+    std::uint64_t total = 0;
+    for (const auto& snap : rounds_) total += snap.store_bytes();
+    return total;
+  });
   reg.register_reader("observer.reports_dropped_down", MetricKind::Counter,
                       [this] { return reports_dropped_while_down_; });
   static constexpr std::array<const char*, kIgnoreReasons> kIgnoreNames = {
@@ -344,6 +429,9 @@ void Observer::check_complete(GlobalSnapshot& snap) {
   snap.complete = true;
   snap.completed_at = sim_.now();
   ++completed_;
+  // Nothing writes a completed round again (stragglers are ignored, the
+  // timeout returns early), so seal it before anyone reads it.
+  snap.seal();
   while (first_outstanding_ < rounds_.size() &&
          rounds_[first_outstanding_].complete) {
     ++first_outstanding_;

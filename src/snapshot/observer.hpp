@@ -8,14 +8,20 @@
 // direction). The layout of those runs is one immutable RoundLayout per
 // device set, shared by every round requested against it. A round keeps
 // only what its reports add: a one-byte state per slot (occupied,
-// consistent, inferred) and a 32-byte value record (local and channel
-// value, advance and finalize time), 33 bytes a slot. A report's device,
-// unit and sid follow from its slot and the round id. An arriving report
-// lands in its slot (an occupied slot marks a duplicate) and folds into its
-// device's digest — counts, consistent-value sums, and advance/finalize
-// extrema — so the completion check and a report lookup are O(1) and the
-// aggregate getters O(devices). Rounds live until the observer is
-// destroyed.
+// consistent, inferred) and, while the round is open, a 32-byte value
+// record (local and channel value, advance and finalize time), 33 bytes a
+// slot. A report's device, unit and sid follow from its slot and the round
+// id. An arriving report lands in its slot (an occupied slot marks a
+// duplicate) and folds into its device's digest — counts, consistent-value
+// sums, and advance/finalize extrema — so the completion check and a report
+// lookup are O(1) and the aggregate getters O(devices). A round is
+// immutable once it completes (normally or by timeout), so completion seals
+// it: each value column is repacked frame-of-reference, one base (the
+// column's minimum nonzero value) plus a per-slot offset at the narrowest
+// width that holds the column's range (0, 1, 2, 4 or 8 bytes), zeros
+// flagged in the state byte, and the value records are freed. Counters and
+// timestamps within one sync spread span small ranges, so a sealed slot
+// costs a few bytes. Rounds live until the observer is destroyed.
 #pragma once
 
 #include <array>
@@ -54,6 +60,7 @@ struct DeviceDigest {
   sim::SimTime finalize_max = 0;
 
   void fold(const UnitReport& r);
+  bool operator==(const DeviceDigest&) const = default;
 };
 
 /// The report-slot layout of one device set (defined in observer.cpp).
@@ -62,7 +69,8 @@ struct RoundLayout;
 /// A fully assembled network-wide snapshot. Self-contained: a copy stays
 /// valid after the observer (and its network) are gone.
 struct GlobalSnapshot {
-  /// What a slot keeps of its report beyond the state byte.
+  /// What a slot of an open round keeps of its report beyond the state
+  /// byte.
   struct SlotValues {
     std::uint64_t local_value = 0;
     std::uint64_t channel_value = 0;
@@ -70,7 +78,8 @@ struct GlobalSnapshot {
     sim::SimTime finalize_time = 0;
   };
   static_assert(sizeof(SlotValues) == 32);
-  /// Store cost of one report slot: the state byte plus the value record.
+  /// Store cost of one report slot while the round is open: the state byte
+  /// plus the value record.
   static constexpr std::size_t kSlotBytes = 1 + sizeof(SlotValues);
 
   VirtualSid id = 0;
@@ -103,10 +112,15 @@ struct GlobalSnapshot {
                [this](std::size_t slot) { return rebuild(slot); });
   }
 
-  /// Bytes of this round's report store: slots x kSlotBytes.
+  /// Bytes of this round's report store: slots x kSlotBytes while the round
+  /// is open; once it is sealed, the state bytes plus the packed columns.
   [[nodiscard]] std::size_t store_bytes() const {
-    return state_.size() * kSlotBytes;
+    return sealed_ ? state_.size() + packed_.size()
+                   : state_.size() * kSlotBytes;
   }
+
+  /// The node of device `d` (registration order: the index into digests).
+  [[nodiscard]] net::NodeId device_node(std::size_t d) const;
 
   [[nodiscard]] bool all_consistent() const;
   [[nodiscard]] std::size_t consistent_count() const;
@@ -134,13 +148,29 @@ struct GlobalSnapshot {
   static constexpr std::uint8_t kOccupied = 1;
   static constexpr std::uint8_t kConsistent = 2;
   static constexpr std::uint8_t kInferred = 4;
+  /// Sealed rounds: bit (kZero << c) marks a zero in value column c, kept
+  /// out of the column's base (an inconsistent report's time is 0).
+  static constexpr std::uint8_t kZero = 8;
+  static constexpr std::size_t kColumns = 4;
+
+  /// One frame-of-reference coded value column of a sealed round.
+  struct Column {
+    std::uint64_t base = 0;  ///< Minimum nonzero value over occupied slots.
+    std::size_t offset = 0;  ///< Where the column starts in packed_.
+    std::uint8_t width = 0;   ///< Bytes per slot: 0, 1, 2, 4 or 8.
+  };
 
   void store(std::size_t slot, const UnitReport& r);
+  /// Repack values_ into columns_/packed_ and free it. Completion only.
+  void seal();
   [[nodiscard]] UnitReport rebuild(std::size_t slot) const;
 
   std::shared_ptr<const RoundLayout> layout_;
   std::vector<std::uint8_t> state_;  ///< By slot; 0 = empty.
-  std::vector<SlotValues> values_;   ///< By slot.
+  std::vector<SlotValues> values_;   ///< By slot; open rounds only.
+  bool sealed_ = false;
+  std::array<Column, kColumns> columns_{};
+  std::vector<std::uint8_t> packed_;  ///< Column-major slot offsets.
 };
 
 class Observer {
@@ -195,9 +225,11 @@ class Observer {
   std::optional<VirtualSid> request_snapshot(sim::SimTime when);
 
   /// Result access, O(1). Every round stays available (and the pointer
-  /// stable) until the observer is destroyed: its store costs
-  /// GlobalSnapshot::kSlotBytes (33 B) per slot of its layout, slots
-  /// counted over the devices pinned to it, whether or not they reported.
+  /// stable) until the observer is destroyed. Its store has one slot per
+  /// unit of the devices pinned to it, whether or not they reported: an
+  /// open round costs GlobalSnapshot::kSlotBytes (33 B) a slot, a completed
+  /// (sealed) one its state byte plus the packed column widths, a few bytes
+  /// a slot (GlobalSnapshot::store_bytes()).
   [[nodiscard]] const GlobalSnapshot* result(VirtualSid id) const;
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
   [[nodiscard]] std::size_t requested_count() const { return rounds_.size(); }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -262,44 +263,78 @@ class InertUnit final : public snap::UnitHandle {
 static_assert(sizeof(snap::GlobalSnapshot::SlotValues) == 32);
 static_assert(snap::GlobalSnapshot::kSlotBytes == 33);
 
-TEST(Observer, CompactStoreRoundTripsEveryField) {
-  // Hand-encoded FullV2 frames (every field carried at full width) go
-  // straight into the observer's report links. Whatever a report carries,
-  // the compact store must give back exactly that report — device, unit
-  // and sid rebuilt from its slot — in UnitId order.
-  sim::Simulator sim;
-  sim::TimingModel timing;
-  snap::Observer::Options obs_options;
-  obs_options.wire.encoding = snap::WireEncoding::FullV2;
-  obs_options.completion_timeout = sim::msec(10);
-  snap::Observer observer(sim, timing, obs_options);
-
-  // Devices 2 and 5, two ports each, registered in NodeId order.
-  const std::array<net::NodeId, 2> nodes{2, 5};
-  std::vector<std::unique_ptr<InertUnit>> units;
-  std::vector<std::unique_ptr<snap::ControlPlane>> cps;
-  std::array<snap::ReportEncoder, 2> encoders;
-  for (std::size_t d = 0; d < nodes.size(); ++d) {
-    cps.push_back(std::make_unique<snap::ControlPlane>(
-        sim, nodes[d], "dev" + std::to_string(nodes[d]), timing,
-        snap::ControlPlane::Options{}, sim::Rng(nodes[d])));
-    encoders[d].configure(obs_options.wire, timing.observer_rpc_latency,
-                          nullptr);
-    for (const net::PortId p : {0, 1}) {
-      for (const auto dir : {net::Direction::Ingress, net::Direction::Egress}) {
-        const net::UnitId u{nodes[d], p, dir};
-        units.push_back(std::make_unique<InertUnit>(u));
-        cps.back()->add_unit(units.back().get(), {true, false});
-        encoders[d].add_unit(u);
+// An observer over InertUnit-backed control planes, two ports per device,
+// fed hand-encoded FullV2 frames (every field carried at full width)
+// straight into its report links.
+struct FrameRig {
+  explicit FrameRig(const std::vector<net::NodeId>& nodes)
+      : observer(sim, timing, options()) {
+    for (std::size_t d = 0; d < nodes.size(); ++d) {
+      cps.push_back(std::make_unique<snap::ControlPlane>(
+          sim, nodes[d], "dev" + std::to_string(nodes[d]), timing,
+          snap::ControlPlane::Options{}, sim::Rng(nodes[d])));
+      auto& encoder = encoders.emplace_back();
+      encoder.configure(options().wire, timing.observer_rpc_latency, nullptr);
+      for (const net::PortId p : {0, 1}) {
+        for (const auto dir :
+             {net::Direction::Ingress, net::Direction::Egress}) {
+          const net::UnitId u{nodes[d], p, dir};
+          units.push_back(std::make_unique<InertUnit>(u));
+          cps.back()->add_unit(units.back().get(), {true, false});
+          encoder.add_unit(u);
+        }
       }
+      observer.register_device(cps.back().get());
     }
-    observer.register_device(cps.back().get());
   }
-  const auto deliver = [&](std::uint16_t dev, const snap::UnitReport& r) {
+
+  static snap::Observer::Options options() {
+    snap::Observer::Options o;
+    o.wire.encoding = snap::WireEncoding::FullV2;
+    o.completion_timeout = sim::msec(10);
+    return o;
+  }
+
+  void deliver(std::uint16_t dev, const snap::UnitReport& r) {
     std::array<std::uint8_t, snap::kMaxReportFrameBytes> frame{};
     const std::size_t len = encoders[dev].encode(r, sim.now(), frame.data());
     observer.on_report_frame(dev, {frame.data(), len});
-  };
+  }
+
+  [[nodiscard]] std::uint64_t metric(const std::string& name) const {
+    for (const auto& m : sim.metrics().collect()) {
+      if (m.name == name) return m.value;
+    }
+    ADD_FAILURE() << "no metric " << name;
+    return 0;
+  }
+
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  snap::Observer observer;
+  std::vector<std::unique_ptr<InertUnit>> units;
+  std::vector<std::unique_ptr<snap::ControlPlane>> cps;
+  std::deque<snap::ReportEncoder> encoders;
+};
+
+snap::UnitReport blank_report(net::UnitId u, snap::VirtualSid sid) {
+  return {.device = u.node, .unit = u, .sid = sid};
+}
+
+std::vector<snap::UnitReport> stored_reports(const snap::GlobalSnapshot& s) {
+  std::vector<snap::UnitReport> out;
+  for (const auto& r : s.reports()) out.push_back(r);
+  return out;
+}
+
+TEST(Observer, CompactStoreRoundTripsEveryField) {
+  // Whatever a report carries, the compact store must give back exactly
+  // that report — device, unit and sid rebuilt from its slot — in UnitId
+  // order, before and after its round is sealed.
+  // Devices 2 and 5, registered in NodeId order.
+  FrameRig rig({2, 5});
+  auto& observer = rig.observer;
+  auto& sim = rig.sim;
 
   const auto s1 = observer.request_snapshot(sim::msec(1));
   const auto s2 = observer.request_snapshot(sim::msec(2));
@@ -307,42 +342,39 @@ TEST(Observer, CompactStoreRoundTripsEveryField) {
   ASSERT_TRUE(s2.has_value());
   constexpr auto kMaxValue = std::numeric_limits<std::uint64_t>::max();
   constexpr auto kMaxTime = std::numeric_limits<sim::SimTime>::max();
-  const auto report = [](net::UnitId u, snap::VirtualSid sid) {
-    return snap::UnitReport{.device = u.node, .unit = u, .sid = sid};
-  };
-  auto consistent = report({2, 0, net::Direction::Ingress}, *s1);
+  auto consistent = blank_report({2, 0, net::Direction::Ingress}, *s1);
   consistent.local_value = 7;
   consistent.advance_time = 1000;
   consistent.finalize_time = 1000;
-  auto inconsistent = report({2, 0, net::Direction::Egress}, *s1);
+  auto inconsistent = blank_report({2, 0, net::Direction::Egress}, *s1);
   inconsistent.consistent = false;
   inconsistent.finalize_time = 1500;
-  auto inferred = report({2, 1, net::Direction::Ingress}, *s1);
+  auto inferred = blank_report({2, 1, net::Direction::Ingress}, *s1);
   inferred.inferred = true;
   inferred.local_value = 42;
   inferred.channel_value = 3;
   inferred.advance_time = 1100;
   inferred.finalize_time = 2500;
-  auto extreme = report({2, 1, net::Direction::Egress}, *s1);
+  auto extreme = blank_report({2, 1, net::Direction::Egress}, *s1);
   extreme.local_value = kMaxValue;
   extreme.channel_value = kMaxValue;
   extreme.advance_time = kMaxTime;
   extreme.finalize_time = 3;
   // Device 5 delivers one unit of four, so the timeout excludes it.
-  auto partial = report({5, 1, net::Direction::Egress}, *s1);
+  auto partial = blank_report({5, 1, net::Direction::Egress}, *s1);
   partial.channel_value = 9;
   partial.advance_time = 2000;
   partial.finalize_time = 2100;
-  auto second = report({2, 0, net::Direction::Ingress}, *s2);
+  auto second = blank_report({2, 0, net::Direction::Ingress}, *s2);
   second.local_value = 8;
 
   // Out of UnitId order on purpose.
-  deliver(1, partial);
-  deliver(0, extreme);
-  deliver(0, inferred);
-  deliver(0, consistent);
-  deliver(0, inconsistent);
-  deliver(0, second);
+  rig.deliver(1, partial);
+  rig.deliver(0, extreme);
+  rig.deliver(0, inferred);
+  rig.deliver(0, consistent);
+  rig.deliver(0, inconsistent);
+  rig.deliver(0, second);
 
   const auto* round1 = observer.result(*s1);
   ASSERT_NE(round1, nullptr);
@@ -352,8 +384,7 @@ TEST(Observer, CompactStoreRoundTripsEveryField) {
                                                 inferred, extreme, partial};
   for (const auto& r : delivered) EXPECT_EQ(round1->report(r.unit), r);
   EXPECT_FALSE(round1->report({5, 0, net::Direction::Ingress}).has_value());
-  std::vector<snap::UnitReport> stored;
-  for (const auto& r : round1->reports()) stored.push_back(r);
+  std::vector<snap::UnitReport> stored = stored_reports(*round1);
   EXPECT_EQ(stored, delivered);
   const auto* round2 = observer.result(*s2);
   ASSERT_NE(round2, nullptr);
@@ -363,11 +394,104 @@ TEST(Observer, CompactStoreRoundTripsEveryField) {
   ASSERT_TRUE(round1->complete);
   EXPECT_EQ(round1->excluded_devices, std::vector<net::NodeId>{5});
   EXPECT_FALSE(round1->report(partial.unit).has_value());
-  stored.clear();
-  for (const auto& r : round1->reports()) stored.push_back(r);
+  stored = stored_reports(*round1);
   EXPECT_EQ(stored, std::vector<snap::UnitReport>(delivered.begin(),
                                                   delivered.end() - 1));
   for (const auto& r : stored) EXPECT_EQ(round1->report(r.unit), r);
+}
+
+TEST(Observer, SealedStoreRoundTripsEveryField) {
+  // Completion seals a round into frame-of-reference columns. Equal
+  // columns pack to width 0, full-range ones to 8 bytes, and zero
+  // timestamps stay out of the column base; every field must come back
+  // unchanged, and nothing may write the round once it is sealed.
+  FrameRig rig({3});
+  auto& observer = rig.observer;
+  const std::vector<net::UnitId> units{{3, 0, net::Direction::Ingress},
+                                       {3, 0, net::Direction::Egress},
+                                       {3, 1, net::Direction::Ingress},
+                                       {3, 1, net::Direction::Egress}};
+  constexpr std::size_t kSlots = 4;
+  constexpr std::size_t kOpenBytes =
+      kSlots * snap::GlobalSnapshot::kSlotBytes;
+  const auto gauge_matches = [&] {
+    std::uint64_t total = 0;
+    for (snap::VirtualSid id = 1; id <= observer.requested_count(); ++id) {
+      total += observer.result(id)->store_bytes();
+    }
+    EXPECT_EQ(rig.metric("observer.store_bytes"), total);
+  };
+
+  // Round 1: four identical reports, every column one value.
+  const auto s1 = observer.request_snapshot(sim::msec(1));
+  ASSERT_TRUE(s1.has_value());
+  gauge_matches();
+  std::vector<snap::UnitReport> equal;
+  for (const auto& u : units) {
+    auto r = blank_report(u, *s1);
+    r.local_value = 77;
+    r.channel_value = 5;
+    r.advance_time = 123456789;
+    r.finalize_time = 123456790;
+    equal.push_back(r);
+  }
+  for (std::size_t i = 0; i + 1 < equal.size(); ++i) rig.deliver(0, equal[i]);
+  const auto* round1 = observer.result(*s1);
+  ASSERT_NE(round1, nullptr);
+  EXPECT_EQ(round1->store_bytes(), kOpenBytes);
+  gauge_matches();
+  rig.deliver(0, equal.back());  // Completes and seals the round.
+  ASSERT_TRUE(round1->complete);
+  EXPECT_EQ(round1->store_bytes(), kSlots);  // State bytes only.
+  EXPECT_EQ(stored_reports(*round1), equal);
+  for (const auto& r : equal) EXPECT_EQ(round1->report(r.unit), r);
+  gauge_matches();
+
+  // Round 2: extremes next to small values, and an inconsistent report
+  // whose timestamps are 0 (kept out of the finalize base, they would
+  // widen that column from 1 to 4 bytes).
+  const auto s2 = observer.request_snapshot(sim::msec(2));
+  ASSERT_TRUE(s2.has_value());
+  constexpr auto kMaxValue = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kMaxTime = std::numeric_limits<sim::SimTime>::max();
+  std::vector<snap::UnitReport> mixed;
+  for (const auto& u : units) mixed.push_back(blank_report(u, *s2));
+  mixed[0].local_value = kMaxValue;
+  mixed[0].channel_value = 3;
+  mixed[0].advance_time = kMaxTime;
+  mixed[0].finalize_time = 1'000'200;
+  mixed[1].consistent = false;
+  mixed[1].local_value = 1;
+  mixed[2].inferred = true;
+  mixed[2].local_value = 1;
+  mixed[2].channel_value = 2;
+  mixed[2].advance_time = 1;
+  mixed[2].finalize_time = 1'000'000;
+  mixed[3].local_value = 300;
+  mixed[3].advance_time = 2000;
+  mixed[3].finalize_time = 1'000'100;
+  for (auto it = mixed.rbegin(); it != mixed.rend(); ++it) rig.deliver(0, *it);
+  const auto* round2 = observer.result(*s2);
+  ASSERT_NE(round2, nullptr);
+  ASSERT_TRUE(round2->complete);
+  // Widths: local 8, channel 1, advance 8, finalize 1.
+  EXPECT_EQ(round2->store_bytes(), kSlots * (1 + 8 + 1 + 8 + 1));
+  EXPECT_EQ(stored_reports(*round2), mixed);
+  for (const auto& r : mixed) EXPECT_EQ(round2->report(r.unit), r);
+  gauge_matches();
+
+  // A straggler after the seal is ignored and leaves the round as it was.
+  using Why = snap::Observer::IgnoreReason;
+  const std::size_t sealed_bytes = round2->store_bytes();
+  auto straggler = mixed[1];
+  straggler.consistent = true;
+  straggler.advance_time = 5;
+  rig.deliver(0, straggler);
+  EXPECT_EQ(observer.reports_ignored(Why::Straggler), 1u);
+  EXPECT_EQ(stored_reports(*round2), mixed);
+  EXPECT_EQ(round2->received_total, kSlots);
+  EXPECT_EQ(round2->store_bytes(), sealed_bytes);
+  gauge_matches();
 }
 
 }  // namespace

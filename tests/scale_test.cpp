@@ -203,6 +203,9 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_EQ(snap->received_total, 81920u);
   // The probe flood touches every switch port — and is allowed to.
   EXPECT_EQ(net.materialized_ports(), 40960u);
+  // Completion sealed the round: at most 8 B a slot, where an open round
+  // costs GlobalSnapshot::kSlotBytes (33 B).
+  EXPECT_LE(snap->store_bytes(), 8u * 81920u);
   const std::int64_t rss_after =
       static_cast<std::int64_t>(obs::current_rss_kb());
   if (kRssBudgetsApply && rss_before > 0) {
